@@ -45,6 +45,9 @@ fn trials_with_candidates(
     None
 }
 
+/// Builds a pair's candidate patterns from its two rule patterns.
+type CandidateScheme = dyn Fn(&PatternTree, &PatternTree) -> Vec<PatternTree>;
+
 fn composition_ablation(fw: &Framework) -> FigureTable {
     let rules = fw.optimizer.exploration_rule_ids();
     let mut pairs = Vec::new();
@@ -58,10 +61,7 @@ fn composition_ablation(fw: &Framework) -> FigureTable {
         "Ablation: pair-composition candidate schemes (total trials, 66 pairs, capped at 150)",
         &["scheme", "total trials", "pairs found", "pairs capped"],
     );
-    let schemes: Vec<(
-        &str,
-        Box<dyn Fn(&PatternTree, &PatternTree) -> Vec<PatternTree>>,
-    )> = vec![
+    let schemes: Vec<(&str, Box<CandidateScheme>)> = vec![
         ("singles only", Box::new(|a, b| vec![a.clone(), b.clone()])),
         (
             "root composition only",

@@ -16,6 +16,7 @@
 //! relaxed atomic load.
 
 use crate::error::{Error, Result};
+use crate::hash::Fnv64;
 use crate::rng::Rng;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -60,17 +61,6 @@ impl FaultKind {
                 ))
             })
     }
-}
-
-/// FNV-1a 64 — stable across processes, used to derive per-site RNG
-/// streams so seeded plans don't depend on site declaration order.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// One schedule entry: inject `kind` at `site` on every `every`-th hit.
@@ -143,7 +133,9 @@ impl ChaosPlan {
     pub fn seeded(seed: u64) -> ChaosPlan {
         let mut rules = Vec::new();
         for site in SITES {
-            let mut rng = Rng::new(seed ^ fnv1a(site.as_bytes()));
+            // Per-site streams keyed by a stable hash of the site name, so
+            // seeded plans don't depend on site declaration order.
+            let mut rng = Rng::new(seed ^ Fnv64::of(site.as_bytes()));
             let kinds: &[FaultKind] = if site.starts_with("cache.") {
                 &[FaultKind::Stall, FaultKind::Budget]
             } else {

@@ -9,10 +9,8 @@
 use crate::compress::{Instance, Solution};
 use crate::framework::Framework;
 use crate::suite::{RuleTarget, TestSuite};
-use crate::supervise::{absorb, Quarantine, SITE_EXEC_BASE, SITE_EXEC_PAIR};
-use ruletest_common::{
-    diff_multisets, par_map_supervised, try_par_map, Error, Failure, Result, Row,
-};
+use crate::supervise::{fan_out, settle, Quarantine, SITE_EXEC_BASE, SITE_EXEC_PAIR};
+use ruletest_common::{diff_multisets, Error, Result, Row};
 use ruletest_executor::{execute_profiled, ExecConfig};
 use ruletest_optimizer::OptimizerConfig;
 use ruletest_telemetry::{Counter, Event, Stage};
@@ -88,7 +86,8 @@ enum Validation {
 /// Executes a compressed test suite against the framework's optimizer.
 /// Plan-pair executions run concurrently on the campaign pool; outcomes
 /// are merged in assignment order, so the report (bug order, counters,
-/// cost sums) is byte-identical at any thread count.
+/// cost sums) is byte-identical at any thread count. Any error returns
+/// and a panic unwinds to the caller.
 pub fn execute_solution(
     fw: &Framework,
     suite: &TestSuite,
@@ -96,13 +95,57 @@ pub fn execute_solution(
     sol: &Solution,
     exec_config: &ExecConfig,
 ) -> Result<CorrectnessReport> {
+    execute_with_policy(fw, suite, sol, exec_config, None)
+}
+
+/// [`execute_solution`] under a quarantine: failed inputs are quarantined
+/// (with their SQL, so the crash minimizer can shrink them later) instead
+/// of aborting the campaign, and inputs already in the quarantine are
+/// skipped *before* any optimizer or executor call — a resumed campaign
+/// never re-triggers a known crash.
+pub fn execute_solution_supervised(
+    fw: &Framework,
+    suite: &TestSuite,
+    _inst: &Instance,
+    sol: &Solution,
+    exec_config: &ExecConfig,
+    quarantine: &mut Quarantine,
+) -> Result<CorrectnessReport> {
+    execute_with_policy(fw, suite, sol, exec_config, Some(quarantine))
+}
+
+/// The correctness driver under either supervision policy (see
+/// [`crate::supervise`]).
+fn execute_with_policy(
+    fw: &Framework,
+    suite: &TestSuite,
+    sol: &Solution,
+    exec_config: &ExecConfig,
+    mut quarantine: Option<&mut Quarantine>,
+) -> Result<CorrectnessReport> {
     let start = Instant::now();
     let mut report = CorrectnessReport::default();
+    let supervised = quarantine.is_some();
+
     // Base results, one execution per distinct query (the node-cost-sharing
     // observation of §4.1). Each query is independent; results merge in
     // `used_queries` order so the floating-point cost sum is reproducible.
-    let used: Vec<usize> = sol.used_queries().into_iter().collect();
-    let base_items = try_par_map(fw.parallelism.threads, &used, |_, &q| {
+    // Quarantined queries are skipped up front.
+    let mut poisoned: HashSet<usize> = HashSet::new();
+    let pending: Vec<usize> = sol
+        .used_queries()
+        .into_iter()
+        .filter(|&q| {
+            let known = quarantine
+                .as_deref()
+                .is_some_and(|qr| qr.contains_input(SITE_EXEC_BASE, &suite.queries[q].sql));
+            if known {
+                poisoned.insert(q);
+            }
+            !known
+        })
+        .collect();
+    let base_items = fan_out(fw, supervised, SITE_EXEC_BASE, &pending, |_, &q| {
         // Spans open inside the leaf closure so the tree shape is
         // thread-count-invariant.
         let _span = fw.telemetry.span(Stage::Correctness);
@@ -112,26 +155,56 @@ pub fn execute_solution(
             Err(Error::Budget(_) | Error::Unsupported(_)) => None,
             Err(e) => return Err(e),
         };
-        Ok((q, res.cost, rows))
-    })?;
+        Ok((res.cost, rows))
+    });
     let mut base_results: HashMap<usize, Option<Vec<Row>>> = HashMap::new();
-    for (q, cost, rows) in base_items {
-        report.estimated_cost += cost;
-        if rows.is_some() {
-            report.executions += 1;
+    for (&q, item) in pending.iter().zip(base_items) {
+        let sql = &suite.queries[q].sql;
+        let settled = settle(fw, SITE_EXEC_BASE, quarantine.as_deref_mut(), item, || {
+            (sql.clone(), Some(sql.clone()), Vec::new())
+        })?;
+        match settled {
+            Some((cost, rows)) => {
+                report.estimated_cost += cost;
+                if rows.is_some() {
+                    report.executions += 1;
+                }
+                base_results.insert(q, rows);
+            }
+            None => {
+                poisoned.insert(q);
+            }
         }
-        base_results.insert(q, rows);
     }
 
     // Every (target, query) assignment is an independent plan-pair
-    // validation against the read-only test database.
+    // validation against the read-only test database. Pairs that must be
+    // skipped (quarantined pairs, or pairs over a poisoned base query)
+    // are decided up front, so the workers never touch a poisoned input.
     let pairs: Vec<(usize, usize)> = sol
         .assignment
         .iter()
         .enumerate()
         .flat_map(|(t, qs)| qs.iter().map(move |&q| (t, q)))
         .collect();
-    let validated = try_par_map(fw.parallelism.threads, &pairs, |_, &(t, q)| {
+    let labels: Vec<String> = suite
+        .targets
+        .iter()
+        .map(|t| t.label(&fw.optimizer))
+        .collect();
+    let pair_label = |t: usize, q: usize| format!("{}|{}", labels[t], suite.queries[q].sql);
+    let skip: Vec<bool> = pairs
+        .iter()
+        .map(|&(t, q)| {
+            quarantine.as_deref().is_some_and(|qr| {
+                poisoned.contains(&q) || qr.contains_input(SITE_EXEC_PAIR, &pair_label(t, q))
+            })
+        })
+        .collect();
+    let validated = fan_out(fw, supervised, SITE_EXEC_PAIR, &pairs, |i, &(t, q)| {
+        if skip[i] {
+            return Ok((0.0, Validation::Quarantined));
+        }
         let _span = fw.telemetry.span(Stage::Correctness);
         let target = suite.targets[t];
         let rules = target.rules();
@@ -149,49 +222,52 @@ pub fn execute_solution(
         let Some(Some(expected)) = base_results.get(&q) else {
             return Ok((cost, Validation::Expensive));
         };
-        match execute_profiled(&fw.db, &masked.plan, exec_config, &fw.telemetry) {
+        let outcome = match execute_profiled(&fw.db, &masked.plan, exec_config, &fw.telemetry) {
             Ok(actual) => {
                 let diff = diff_multisets(expected, &actual);
                 if diff.is_empty() {
-                    Ok((cost, Validation::Clean))
+                    Validation::Clean
                 } else {
-                    Ok((
-                        cost,
-                        Validation::Bug(BugReport {
-                            target,
-                            target_label: target.label(&fw.optimizer),
-                            query: q,
-                            sql: suite.queries[q].sql.clone(),
-                            diff_summary: diff.summary(),
-                            seed: suite.seed,
-                            rule_mask: rules
-                                .iter()
-                                .map(|&r| fw.optimizer.rule(r).name.to_string())
-                                .collect(),
-                            scale: fw.db_profile.scale,
-                        }),
-                    ))
+                    Validation::Bug(BugReport {
+                        target,
+                        target_label: labels[t].clone(),
+                        query: q,
+                        sql: suite.queries[q].sql.clone(),
+                        diff_summary: diff.summary(),
+                        seed: suite.seed,
+                        rule_mask: target.rule_names(&fw.optimizer),
+                        scale: fw.db_profile.scale,
+                    })
                 }
             }
-            Err(Error::Budget(_)) => Ok((cost, Validation::Expensive)),
-            Err(Error::Unsupported(_)) => Ok((cost, Validation::Unsupported)),
-            Err(e) => Err(e),
-        }
-    })?;
+            Err(Error::Budget(_)) => Validation::Expensive,
+            Err(Error::Unsupported(_)) => Validation::Unsupported,
+            Err(e) => return Err(e),
+        };
+        Ok((cost, outcome))
+    });
     // The merge runs in assignment order on one thread, so the telemetry
     // counters and events below are deterministic at any thread count.
     fw.telemetry
         .add(Counter::Executions, report.executions as u64);
-    for ((t, q), (cost, outcome)) in pairs.iter().zip(validated) {
-        merge_one(fw, &mut report, *t, *q, cost, outcome);
+    for (&(t, q), item) in pairs.iter().zip(validated) {
+        let settled = settle(fw, SITE_EXEC_PAIR, quarantine.as_deref_mut(), item, || {
+            let sql = suite.queries[q].sql.clone();
+            (
+                pair_label(t, q),
+                Some(sql),
+                suite.targets[t].rule_names(&fw.optimizer),
+            )
+        })?;
+        let (cost, outcome) = settled.unwrap_or((0.0, Validation::Quarantined));
+        merge_one(fw, &mut report, t, q, cost, outcome);
     }
     report.elapsed = start.elapsed();
     Ok(report)
 }
 
 /// Folds one `(target, query)` validation outcome into the report and the
-/// telemetry stream — shared by the supervised and unsupervised merges so
-/// their counter and event sequences are identical.
+/// telemetry stream.
 fn merge_one(
     fw: &Framework,
     report: &mut CorrectnessReport,
@@ -242,205 +318,6 @@ fn merge_one(
         query: q as u32,
         outcome: label,
     });
-}
-
-/// Supervised twin of [`execute_solution`]: the base and pair fan-outs
-/// run under the panic sandbox, failed inputs are quarantined (with
-/// their SQL, so the crash minimizer can shrink them later) instead of
-/// aborting the campaign, and inputs already in the quarantine are
-/// skipped *before* any optimizer or executor call — a resumed campaign
-/// never re-triggers a known crash. On a clean run with an empty
-/// quarantine, the optimizer/executor call sequence, spans, counters,
-/// and events are identical to the unsupervised twin.
-pub fn execute_solution_supervised(
-    fw: &Framework,
-    suite: &TestSuite,
-    _inst: &Instance,
-    sol: &Solution,
-    exec_config: &ExecConfig,
-    quarantine: &mut Quarantine,
-) -> Result<CorrectnessReport> {
-    let start = Instant::now();
-    let mut report = CorrectnessReport::default();
-
-    // Base stage: skip quarantined queries up front, sandbox the rest.
-    let used: Vec<usize> = sol.used_queries().into_iter().collect();
-    let mut poisoned: HashSet<usize> = HashSet::new();
-    let mut base_results: HashMap<usize, Option<Vec<Row>>> = HashMap::new();
-    let pending: Vec<usize> = used
-        .into_iter()
-        .filter(|&q| {
-            if quarantine.contains_input(SITE_EXEC_BASE, &suite.queries[q].sql) {
-                poisoned.insert(q);
-                base_results.insert(q, None);
-                false
-            } else {
-                true
-            }
-        })
-        .collect();
-    let base_items =
-        par_map_supervised(fw.parallelism.threads, &pending, SITE_EXEC_BASE, |_, &q| {
-            let _span = fw.telemetry.span(Stage::Correctness);
-            let res = fw.optimizer.optimize_cached(&suite.queries[q].tree)?;
-            let rows = match execute_profiled(&fw.db, &res.plan, exec_config, &fw.telemetry) {
-                Ok(rows) => Some(rows),
-                Err(Error::Budget(_) | Error::Unsupported(_)) => None,
-                Err(e) => return Err(e),
-            };
-            Ok((res.cost, rows))
-        });
-    for (&q, item) in pending.iter().zip(base_items) {
-        let sql = &suite.queries[q].sql;
-        let mut quarantine_base = |failure: &Failure| {
-            absorb(
-                fw,
-                quarantine,
-                SITE_EXEC_BASE,
-                sql,
-                Some(sql.clone()),
-                Vec::new(),
-                failure,
-            );
-            poisoned.insert(q);
-            base_results.insert(q, None);
-        };
-        match item {
-            Ok(Ok((cost, rows))) => {
-                report.estimated_cost += cost;
-                if rows.is_some() {
-                    report.executions += 1;
-                }
-                base_results.insert(q, rows);
-            }
-            Ok(Err(e)) => match Failure::from_error(&e) {
-                Some(failure) => quarantine_base(&failure),
-                None => return Err(e),
-            },
-            Err(failure) => quarantine_base(&failure),
-        }
-    }
-
-    // Pair stage: pre-compute which pairs must be skipped (quarantined
-    // pairs, or pairs over a base query that just failed) so the worker
-    // closures never touch a poisoned input.
-    let pairs: Vec<(usize, usize)> = sol
-        .assignment
-        .iter()
-        .enumerate()
-        .flat_map(|(t, qs)| qs.iter().map(move |&q| (t, q)))
-        .collect();
-    let labels: Vec<String> = suite
-        .targets
-        .iter()
-        .map(|t| t.label(&fw.optimizer))
-        .collect();
-    let pair_label = |t: usize, q: usize| format!("{}|{}", labels[t], suite.queries[q].sql);
-    let skip: Vec<bool> = pairs
-        .iter()
-        .map(|&(t, q)| {
-            poisoned.contains(&q) || quarantine.contains_input(SITE_EXEC_PAIR, &pair_label(t, q))
-        })
-        .collect();
-    let validated = par_map_supervised(
-        fw.parallelism.threads,
-        &pairs,
-        SITE_EXEC_PAIR,
-        |i, &(t, q)| {
-            if skip[i] {
-                return Ok((0.0, Validation::Quarantined));
-            }
-            let _span = fw.telemetry.span(Stage::Correctness);
-            let target = suite.targets[t];
-            let rules = target.rules();
-            let base = fw.optimizer.optimize_cached(&suite.queries[q].tree)?;
-            let masked = fw.optimizer.optimize_with_cached(
-                &suite.queries[q].tree,
-                &OptimizerConfig::disabling(&rules),
-            )?;
-            let cost = masked.cost;
-            if base.plan.same_shape(&masked.plan) {
-                return Ok((cost, Validation::Identical));
-            }
-            let Some(Some(expected)) = base_results.get(&q) else {
-                return Ok((cost, Validation::Expensive));
-            };
-            match execute_profiled(&fw.db, &masked.plan, exec_config, &fw.telemetry) {
-                Ok(actual) => {
-                    let diff = diff_multisets(expected, &actual);
-                    if diff.is_empty() {
-                        Ok((cost, Validation::Clean))
-                    } else {
-                        Ok((
-                            cost,
-                            Validation::Bug(BugReport {
-                                target,
-                                target_label: target.label(&fw.optimizer),
-                                query: q,
-                                sql: suite.queries[q].sql.clone(),
-                                diff_summary: diff.summary(),
-                                seed: suite.seed,
-                                rule_mask: rules
-                                    .iter()
-                                    .map(|&r| fw.optimizer.rule(r).name.to_string())
-                                    .collect(),
-                                scale: fw.db_profile.scale,
-                            }),
-                        ))
-                    }
-                }
-                Err(Error::Budget(_)) => Ok((cost, Validation::Expensive)),
-                Err(Error::Unsupported(_)) => Ok((cost, Validation::Unsupported)),
-                Err(e) => Err(e),
-            }
-        },
-    );
-    fw.telemetry
-        .add(Counter::Executions, report.executions as u64);
-    for ((t, q), item) in pairs.iter().zip(validated) {
-        let mask = || {
-            suite.targets[*t]
-                .rules()
-                .iter()
-                .map(|&r| fw.optimizer.rule(r).name.to_string())
-                .collect()
-        };
-        let (cost, outcome) = match item {
-            Ok(Ok(pair)) => pair,
-            Ok(Err(e)) => match Failure::from_error(&e) {
-                Some(failure) => {
-                    let label = pair_label(*t, *q);
-                    absorb(
-                        fw,
-                        quarantine,
-                        SITE_EXEC_PAIR,
-                        &label,
-                        Some(suite.queries[*q].sql.clone()),
-                        mask(),
-                        &failure,
-                    );
-                    (0.0, Validation::Quarantined)
-                }
-                None => return Err(e),
-            },
-            Err(failure) => {
-                let label = pair_label(*t, *q);
-                absorb(
-                    fw,
-                    quarantine,
-                    SITE_EXEC_PAIR,
-                    &label,
-                    Some(suite.queries[*q].sql.clone()),
-                    mask(),
-                    &failure,
-                );
-                (0.0, Validation::Quarantined)
-            }
-        };
-        merge_one(fw, &mut report, *t, *q, cost, outcome);
-    }
-    report.elapsed = start.elapsed();
-    Ok(report)
 }
 
 #[cfg(test)]

@@ -7,7 +7,6 @@
 
 pub mod compress;
 pub mod correctness;
-pub mod faults;
 pub mod framework;
 pub mod generate;
 pub mod mutate;
@@ -32,12 +31,12 @@ pub use persist::{
     CampaignRun, CampaignStore,
 };
 pub use suite::{
-    build_graph, build_graph_pruned, generate_suite, generate_suite_lenient, pair_targets,
-    singleton_targets, BipartiteGraph, RuleTarget, SuiteQuery, TestSuite,
+    build_graph, build_graph_pruned, build_graph_supervised, generate_suite,
+    generate_suite_lenient, generate_suite_supervised, pair_targets, singleton_targets,
+    BipartiteGraph, RuleTarget, SuiteQuery, TestSuite,
 };
 pub use supervise::{
-    build_graph_supervised, crash_bundles, generate_suite_supervised, input_fingerprint,
-    quarantine_summary, Quarantine, QuarantineEntry,
+    crash_bundles, input_fingerprint, quarantine_summary, Quarantine, QuarantineEntry,
 };
 pub use triage::{
     read_bundles, replay, to_bundles, triage_report, write_bundles, BugSignature, ReplayOutcome,

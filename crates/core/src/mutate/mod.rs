@@ -2,10 +2,10 @@
 //! real catalog, to *measure* the framework's fault-detection power.
 //!
 //! The paper's claim (§2.3, §6) is that `Plan(q)` vs `Plan(q, ¬{r})`
-//! differential execution finds incorrectly implemented rules. The
-//! hand-written [`crate::faults::Fault`] catalog holds three such bugs,
-//! all in one class — and the static linter catches all three, so the
-//! dynamic pipeline's unique contribution was unmeasured. This module
+//! differential execution finds incorrectly implemented rules. Three
+//! hand-written outer-join bugs, all in one class, would not measure it:
+//! the static linter catches all three, so the dynamic pipeline's unique
+//! contribution would stay unmeasured. This module
 //! derives a few dozen buggy variants ([`Mutant`]) across six bug
 //! classes ([`BugClass`]) from the real rules, runs the full
 //! generation → differential-execution pipeline plus the static linter
@@ -149,12 +149,15 @@ impl Mutant {
         catalog::all()
     }
 
-    /// Looks a mutant up by id; fails with the offending name (CLI
-    /// boundary contract — see `Error::Unsupported`).
+    /// Looks a mutant up by id — how CLI `--fault` flags and repro
+    /// bundles name an injected fault. Fails with the offending name and
+    /// the known ids (CLI boundary contract — see `Error::Unsupported`).
     pub fn by_id(id: &str) -> Result<&'static Mutant> {
         Mutant::all().iter().find(|m| m.id == id).ok_or_else(|| {
+            let known: Vec<&str> = Mutant::all().iter().map(|m| m.id).collect();
             Error::unsupported(format!(
-                "unknown mutant '{id}' (see `ruletest mutate --list`)"
+                "unknown mutant '{id}' (known: {})",
+                known.join(", ")
             ))
         })
     }

@@ -32,13 +32,13 @@
 
 use crate::framework::Framework;
 use crate::generate::{GenConfig, Strategy};
+use crate::suite::graph::build_graph_with;
 use crate::suite::{
-    build_graph, generate_suite, singleton_targets, BipartiteGraph, RuleTarget, SuiteQuery,
-    TestSuite,
+    generate_suite_with, singleton_targets, BipartiteGraph, RuleTarget, SuiteQuery, TestSuite,
 };
-use crate::supervise::{build_graph_supervised, generate_suite_supervised, Quarantine};
+use crate::supervise::Quarantine;
 use ruletest_common::{Error, Result, RuleId};
-use ruletest_optimizer::persist::{tree_from_json, tree_to_json};
+use ruletest_optimizer::persist::{tree_from_json, tree_to_json, write_atomic};
 use ruletest_optimizer::SnapshotStore;
 use ruletest_telemetry::{Json, RunReport, Stage};
 use std::collections::{BTreeSet, HashMap};
@@ -48,8 +48,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Checkpoint layout version; a mismatch invalidates the checkpoint the
-/// same way a fingerprint mismatch does.
-pub const CHECKPOINT_FORMAT: u64 = 1;
+/// same way a fingerprint mismatch does. Version 2: every graph
+/// checkpoint carries `{suite, graph}` (version 1 wrote a bare graph for
+/// unsupervised runs).
+pub const CHECKPOINT_FORMAT: u64 = 2;
 
 /// Stage names (also the checkpoint file names).
 pub const STAGE_SUITE: &str = "suite";
@@ -69,14 +71,6 @@ fn io_err(what: &str, e: io::Error) -> Error {
 
 fn malformed(what: &str) -> Error {
     Error::unsupported(format!("campaign checkpoint: malformed {what}"))
-}
-
-/// Atomic write: temp sibling + rename, same contract as the optimizer
-/// snapshot files — a kill mid-write leaves the previous file intact.
-fn write_atomic(path: &Path, contents: &[u8]) -> io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    fs::write(&tmp, contents)?;
-    fs::rename(&tmp, path)
 }
 
 // ---------------------------------------------------------------------
@@ -123,18 +117,12 @@ impl CampaignParams {
 }
 
 // ---------------------------------------------------------------------
-// Suite / graph serialization. Floats are hex bit patterns for the same
-// reason as in the optimizer snapshot: costs must survive bit-exactly.
-
-fn f64_hex(f: f64) -> Json {
-    Json::str(format!("{:016x}", f.to_bits()))
-}
+// Suite / graph serialization. Floats are hex bit patterns
+// (`Json::f64_bits`) for the same reason as in the optimizer snapshot:
+// costs must survive bit-exactly.
 
 fn f64_unhex(j: &Json, what: &str) -> Result<f64> {
-    j.as_str()
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-        .map(f64::from_bits)
-        .ok_or_else(|| malformed(what))
+    j.as_f64_bits().ok_or_else(|| malformed(what))
 }
 
 fn usize_from(j: &Json, what: &str) -> Result<usize> {
@@ -210,7 +198,7 @@ pub fn suite_to_json(suite: &TestSuite) -> Json {
                             .collect(),
                     ),
                 ),
-                ("cost", f64_hex(q.cost)),
+                ("cost", Json::f64_bits(q.cost)),
                 ("generated_for", Json::count(q.generated_for as u64)),
             ])
         })
@@ -267,7 +255,7 @@ pub fn graph_to_json(graph: &BipartiteGraph) -> Json {
         ("k", Json::count(graph.k as u64)),
         (
             "node_cost",
-            Json::Arr(graph.node_cost.iter().map(|&c| f64_hex(c)).collect()),
+            Json::Arr(graph.node_cost.iter().map(|&c| Json::f64_bits(c)).collect()),
         ),
         (
             "adjacency",
@@ -288,7 +276,7 @@ pub fn graph_to_json(graph: &BipartiteGraph) -> Json {
                         Json::obj(vec![
                             ("t", Json::count(t as u64)),
                             ("q", Json::count(q as u64)),
-                            ("c", f64_hex(c)),
+                            ("c", Json::f64_bits(c)),
                         ])
                     })
                     .collect(),
@@ -421,7 +409,7 @@ impl CampaignStore {
             ("payload", payload),
             ("report", report.to_json()),
         ]);
-        write_atomic(&self.stage_path(name), doc.to_string_compact().as_bytes())
+        write_atomic(&self.stage_path(name), doc.to_string_compact())
     }
 
     /// Loads a stage checkpoint, or `None` when it is absent, unreadable,
@@ -476,7 +464,7 @@ impl CampaignStore {
             ("params", params),
             ("quarantine", quarantine.to_json()),
         ]);
-        write_atomic(&self.quarantine_path(), doc.to_string_compact().as_bytes())
+        write_atomic(&self.quarantine_path(), doc.to_string_compact())
     }
 
     /// Loads the persisted quarantine; absent, unreadable, or mismatched
@@ -569,12 +557,12 @@ pub fn run_checkpointed_campaign(
     campaign_impl(fw, params, cache_dir, resume, stop_after, None)
 }
 
-/// Supervised variant of [`run_checkpointed_campaign`]: the generation
-/// and graph stages run under the panic sandbox, absorbed failures land
-/// in `quarantine` (which is persisted in the checkpoint dir at every
-/// stage boundary and merged back on `--resume`, so a resumed campaign
-/// skips known-poisoned inputs instead of re-crashing on them), and
-/// quarantined targets shrink the suite instead of aborting the run.
+/// [`run_checkpointed_campaign`] under a quarantine: the generation and
+/// graph stages run under the panic sandbox, absorbed failures land in
+/// `quarantine` (which is persisted in the checkpoint dir at every stage
+/// boundary and merged back on `--resume`, so a resumed campaign skips
+/// known-poisoned inputs instead of re-crashing on them), and quarantined
+/// targets shrink the suite instead of aborting the run.
 pub fn run_checkpointed_campaign_supervised(
     fw: &Framework,
     params: &CampaignParams,
@@ -592,7 +580,7 @@ fn campaign_impl(
     cache_dir: Option<&Path>,
     resume: bool,
     stop_after: Option<&str>,
-    mut supervised: Option<&mut Quarantine>,
+    mut quarantine: Option<&mut Quarantine>,
 ) -> Result<Option<CampaignRun>> {
     let fingerprint = fw.campaign_fingerprint();
     let cstore = match cache_dir {
@@ -624,7 +612,7 @@ fn campaign_impl(
     }
     // A supervised resume inherits the persisted quarantine: inputs that
     // crashed the previous run are skipped, not retried.
-    if let (Some(cs), true, Some(q)) = (&cstore, resume, supervised.as_deref_mut()) {
+    if let (Some(cs), true, Some(q)) = (&cstore, resume, quarantine.as_deref_mut()) {
         q.merge(cs.load_quarantine());
     }
     let counted_through = graph_ck
@@ -662,32 +650,17 @@ fn campaign_impl(
             if let Some(s) = &store {
                 s.set_boundary(BOUNDARY_SUITE);
             }
-            let targets = singleton_targets(fw, params.rules);
-            let suite = match supervised.as_deref_mut() {
-                Some(q) => generate_suite_supervised(
-                    fw,
-                    targets,
-                    params.k,
-                    Strategy::Pattern,
-                    &params.gen_config(),
-                    q,
-                )?,
-                None => generate_suite(
-                    fw,
-                    targets,
-                    params.k,
-                    Strategy::Pattern,
-                    &params.gen_config(),
-                )?,
-            };
-            checkpoint(
+            let suite = generate_suite_with(
                 fw,
-                &cstore,
-                STAGE_SUITE,
-                BOUNDARY_SUITE,
-                suite_to_json(&suite),
+                singleton_targets(fw, params.rules),
+                params.k,
+                Strategy::Pattern,
+                &params.gen_config(),
+                quarantine.as_deref_mut(),
             )?;
-            save_quarantine(&cstore, supervised.as_deref())?;
+            let payload = suite_to_json(&suite);
+            let q = quarantine.as_deref();
+            checkpoint(fw, &cstore, STAGE_SUITE, BOUNDARY_SUITE, payload, q)?;
             suite
         }
     };
@@ -696,49 +669,26 @@ fn campaign_impl(
     }
 
     // Stage 2: bipartite graph. A supervised graph stage may shrink the
-    // suite (quarantined targets drop with their queries), so its
-    // checkpoint payload carries the shrunk suite alongside the graph —
+    // suite (quarantined targets drop with their queries), so the
+    // checkpoint payload carries the graph's suite alongside the graph —
     // the two must stay consistent on resume.
     let (suite, graph) = match &graph_ck {
-        Some((_, payload, _)) => match payload.get("graph") {
-            Some(g) => (
-                suite_from_json(payload.get("suite").ok_or_else(|| malformed("suite"))?)?,
-                graph_from_json(g)?,
-            ),
-            None => (suite, graph_from_json(payload)?),
-        },
+        Some((_, payload, _)) => (
+            suite_from_json(get(payload, "suite")?)?,
+            graph_from_json(get(payload, "graph")?)?,
+        ),
         None => {
             if let Some(s) = &store {
                 s.set_boundary(BOUNDARY_GRAPH);
             }
-            match supervised.as_deref_mut() {
-                Some(q) => {
-                    let (suite, graph) = build_graph_supervised(fw, &suite, q)?;
-                    checkpoint(
-                        fw,
-                        &cstore,
-                        STAGE_GRAPH,
-                        BOUNDARY_GRAPH,
-                        Json::obj(vec![
-                            ("suite", suite_to_json(&suite)),
-                            ("graph", graph_to_json(&graph)),
-                        ]),
-                    )?;
-                    save_quarantine(&cstore, supervised.as_deref())?;
-                    (suite, graph)
-                }
-                None => {
-                    let graph = build_graph(fw, &suite)?;
-                    checkpoint(
-                        fw,
-                        &cstore,
-                        STAGE_GRAPH,
-                        BOUNDARY_GRAPH,
-                        graph_to_json(&graph),
-                    )?;
-                    (suite, graph)
-                }
-            }
+            let (suite, graph) = build_graph_with(fw, &suite, quarantine.as_deref_mut())?;
+            let payload = Json::obj(vec![
+                ("suite", suite_to_json(&suite)),
+                ("graph", graph_to_json(&graph)),
+            ]);
+            let q = quarantine.as_deref();
+            checkpoint(fw, &cstore, STAGE_GRAPH, BOUNDARY_GRAPH, payload, q)?;
+            (suite, graph)
         }
     };
     if stop_after == Some(STAGE_GRAPH) {
@@ -757,26 +707,18 @@ fn campaign_impl(
     }))
 }
 
-/// Persists the quarantine at a stage boundary (supervised runs only).
-fn save_quarantine(cstore: &Option<CampaignStore>, quarantine: Option<&Quarantine>) -> Result<()> {
-    if let (Some(cs), Some(q)) = (cstore, quarantine) {
-        cs.save_quarantine(q)
-            .map_err(|e| io_err("writing quarantine", e))?;
-    }
-    Ok(())
-}
-
 /// One stage boundary: persist the invocation cache (inside the persist
 /// span — the span count is part of the deterministic slice and must be
 /// identical for cold, warm, and resumed runs), then snapshot the
 /// cumulative report (which includes that span), then write the stage
-/// file.
+/// file and, for a supervised run, the quarantine.
 fn checkpoint(
     fw: &Framework,
     cstore: &Option<CampaignStore>,
     name: &str,
     boundary: u64,
     payload: Json,
+    quarantine: Option<&Quarantine>,
 ) -> Result<()> {
     let Some(cs) = cstore else {
         return Ok(());
@@ -789,7 +731,12 @@ fn checkpoint(
     }
     let report = fw.run_report();
     cs.save_stage(name, boundary, payload, &report)
-        .map_err(|e| io_err("writing stage checkpoint", e))
+        .map_err(|e| io_err("writing stage checkpoint", e))?;
+    if let Some(q) = quarantine {
+        cs.save_quarantine(q)
+            .map_err(|e| io_err("writing quarantine", e))?;
+    }
+    Ok(())
 }
 
 /// The final invocation-cache save after the execute stage. No stage file

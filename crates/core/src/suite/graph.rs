@@ -7,10 +7,11 @@
 
 use super::{RuleTarget, TestSuite};
 use crate::framework::Framework;
+use crate::supervise::{fan_out, settle, Quarantine, SITE_GRAPH};
 use ruletest_common::{try_par_map, Result};
 use ruletest_optimizer::OptimizerConfig;
 use ruletest_telemetry::{Counter, Event, Stage};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -97,33 +98,133 @@ fn skeleton(suite: &TestSuite) -> (Vec<f64>, Vec<Vec<usize>>, Vec<usize>) {
 }
 
 /// Builds the graph eagerly: every adjacency edge's cost is computed — the
-/// exhaustive strategy Figure 14 compares against.
+/// exhaustive strategy Figure 14 compares against. Any error returns and
+/// a panic unwinds to the caller.
 pub fn build_graph(fw: &Framework, suite: &TestSuite) -> Result<BipartiteGraph> {
-    let (node_cost, adjacency, generated_for) = skeleton(suite);
-    let oracle = EdgeOracle::new(fw, suite);
+    build_graph_with(fw, suite, None).map(|(_, graph)| graph)
+}
+
+/// [`build_graph`] under a quarantine: a target whose edge computation
+/// fails is quarantined and dropped *together with its dedicated
+/// queries* (the suite shrinks), rather than aborting the campaign.
+/// Returns the (possibly shrunk) suite the graph indexes.
+pub fn build_graph_supervised(
+    fw: &Framework,
+    suite: &TestSuite,
+    quarantine: &mut Quarantine,
+) -> Result<(TestSuite, BipartiteGraph)> {
+    build_graph_with(fw, suite, Some(quarantine))
+}
+
+/// The eager graph driver under either supervision policy (see
+/// [`crate::supervise`]). Targets quarantined by an earlier run leave
+/// with their queries before any edge is computed; targets that fail now
+/// leave afterwards, and the survivors' edges are remapped onto the
+/// shrunk suite. Without a quarantine nothing leaves and both drops are
+/// the identity.
+pub(crate) fn build_graph_with(
+    fw: &Framework,
+    suite: &TestSuite,
+    mut quarantine: Option<&mut Quarantine>,
+) -> Result<(TestSuite, BipartiteGraph)> {
+    let known_bad: BTreeSet<usize> = match quarantine.as_deref() {
+        Some(q) => (0..suite.targets.len())
+            .filter(|&t| q.contains_input(SITE_GRAPH, &suite.targets[t].label(&fw.optimizer)))
+            .collect(),
+        None => BTreeSet::new(),
+    };
+    let (base, _) = drop_targets(suite.clone(), &known_bad);
+    let adjacency: Vec<Vec<usize>> = (0..base.targets.len()).map(|t| base.covering(t)).collect();
     // One worker per target: every (t, q) edge belongs to exactly one
     // target, so workers never race on an edge, and edge costs are pure,
-    // so the resulting map is identical at any thread count.
+    // so the edge lists are identical at any thread count.
     let indexed: Vec<usize> = (0..adjacency.len()).collect();
-    try_par_map(fw.parallelism.threads, &indexed, |_, &t| {
+    let results = fan_out(fw, quarantine.is_some(), SITE_GRAPH, &indexed, |_, &t| {
         // Per-target span inside the leaf closure: the tree shape stays
         // identical at any thread count.
         let _span = fw.telemetry.span(Stage::Graph);
+        let rules = base.targets[t].rules();
+        let mut edges = Vec::with_capacity(adjacency[t].len());
         for &q in &adjacency[t] {
-            oracle.edge_cost(t, q)?;
+            let res = fw
+                .optimizer
+                .optimize_with_cached(&base.queries[q].tree, &OptimizerConfig::disabling(&rules))?;
+            fw.telemetry.incr(Counter::OracleCalls);
+            edges.push((q, res.cost));
         }
-        Ok(())
-    })?;
-    let (edges, optimizer_calls) = oracle.into_edges();
-    Ok(BipartiteGraph {
+        Ok(edges)
+    });
+
+    let mut failed = BTreeSet::new();
+    let mut per_target = Vec::with_capacity(results.len());
+    for (t, result) in results.into_iter().enumerate() {
+        let target = base.targets[t];
+        let settled = settle(fw, SITE_GRAPH, quarantine.as_deref_mut(), result, || {
+            let label = target.label(&fw.optimizer);
+            (label, None, target.rule_names(&fw.optimizer))
+        })?;
+        match settled {
+            Some(edges) => per_target.push(edges),
+            None => {
+                failed.insert(t);
+            }
+        }
+    }
+
+    let (suite, query_remap) = drop_targets(base, &failed);
+    let mut edges: HashMap<(usize, usize), f64> = HashMap::new();
+    for (t, list) in per_target.into_iter().enumerate() {
+        for (q, c) in list {
+            if let Some(nq) = query_remap[q] {
+                edges.insert((t, nq), c);
+            }
+        }
+    }
+    let (node_cost, adjacency, generated_for) = skeleton(&suite);
+    let graph = BipartiteGraph {
         targets: suite.targets.clone(),
         k: suite.k,
         node_cost,
         adjacency,
+        optimizer_calls: edges.len() as u64,
         edges,
         generated_for,
-        optimizer_calls,
-    })
+    };
+    Ok((suite, graph))
+}
+
+/// Drops the targets at `drop` from `suite`, discarding their dedicated
+/// queries and retagging the survivors. Returns the shrunk suite plus
+/// the query remap (`old -> Some(new)`).
+fn drop_targets(suite: TestSuite, drop: &BTreeSet<usize>) -> (TestSuite, Vec<Option<usize>>) {
+    let mut target_remap = Vec::with_capacity(suite.targets.len());
+    let mut targets = Vec::new();
+    for (t, target) in suite.targets.into_iter().enumerate() {
+        if drop.contains(&t) {
+            target_remap.push(None);
+        } else {
+            target_remap.push(Some(targets.len()));
+            targets.push(target);
+        }
+    }
+    let mut query_remap = Vec::with_capacity(suite.queries.len());
+    let mut queries = Vec::new();
+    for mut q in suite.queries {
+        match target_remap[q.generated_for] {
+            Some(nt) => {
+                query_remap.push(Some(queries.len()));
+                q.generated_for = nt;
+                queries.push(q);
+            }
+            None => query_remap.push(None),
+        }
+    }
+    let suite = TestSuite {
+        targets,
+        queries,
+        ..suite
+    };
+    (suite, query_remap)
 }
 
 /// Builds the graph with the §5.3.1 pruning: for each target, queries are
@@ -236,7 +337,7 @@ mod tests {
         assert_eq!(heap.pop().unwrap().0, 2.0);
         assert_eq!(heap.pop().unwrap().0, 1.0);
 
-        let mut costs = vec![2.0, f64::NAN, 1.0];
+        let mut costs = [2.0, f64::NAN, 1.0];
         costs.sort_by(f64::total_cmp);
         assert_eq!(costs[0], 1.0);
         assert_eq!(costs[1], 2.0);

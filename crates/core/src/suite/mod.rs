@@ -10,11 +10,14 @@ pub mod graph;
 
 use crate::framework::Framework;
 use crate::generate::{GenConfig, Strategy};
-use ruletest_common::{par_map, try_par_map, Error, Result, RuleId};
+use crate::supervise::{fan_out, settle, Quarantine, SITE_SUITE};
+use ruletest_common::{par_map, Error, Result, RuleId};
 use ruletest_logical::LogicalTree;
 use std::collections::BTreeSet;
 
-pub use graph::{build_graph, build_graph_pruned, BipartiteGraph, EdgeOracle};
+pub use graph::{
+    build_graph, build_graph_pruned, build_graph_supervised, BipartiteGraph, EdgeOracle,
+};
 
 /// What a test-suite slot validates: a single rule or a rule pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -35,6 +38,15 @@ impl RuleTarget {
     /// True iff a query with this `RuleSet` exercises the target.
     pub fn covered_by(&self, rule_set: &BTreeSet<RuleId>) -> bool {
         self.rules().iter().all(|r| rule_set.contains(r))
+    }
+
+    /// Names of the rules [`RuleTarget::rules`] disables — the rule mask
+    /// bug reports and quarantine entries record.
+    pub(crate) fn rule_names(&self, optimizer: &ruletest_optimizer::Optimizer) -> Vec<String> {
+        self.rules()
+            .iter()
+            .map(|&r| optimizer.rule(r).name.to_string())
+            .collect()
     }
 
     /// Human-readable label.
@@ -98,9 +110,13 @@ pub fn generate_suite_lenient(
     strategy: Strategy,
     cfg: &GenConfig,
 ) -> Result<(TestSuite, Vec<RuleTarget>)> {
-    // Each target is an independent generation problem with its own seed
-    // stream, so the fan-out is embarrassingly parallel; merging in target
-    // order keeps the output identical to the sequential build.
+    // Every target is keyed as index 0, so all targets share one seed
+    // stream — unlike `generate_suite`, which keys each target by its
+    // index. Targets are still independent problems, so the fan-out is
+    // embarrassingly parallel, and merging in target order keeps the
+    // output identical to the sequential build. This stays a separate
+    // driver because the sweeps that use it pin their figures on these
+    // seeds: keying by index would change their results.
     let per_target = par_map(fw.parallelism.threads, &targets, |_, target| {
         queries_for_target(fw, *target, 0, k, strategy, cfg)
     });
@@ -132,7 +148,8 @@ pub fn generate_suite_lenient(
 }
 
 /// Generates a test suite: for each target, `k` distinct queries that
-/// exercise it (§2.3's `TS = ∪ TS_i`).
+/// exercise it (§2.3's `TS = ∪ TS_i`). Any error returns and a panic
+/// unwinds to the caller.
 pub fn generate_suite(
     fw: &Framework,
     targets: Vec<RuleTarget>,
@@ -140,19 +157,72 @@ pub fn generate_suite(
     strategy: Strategy,
     cfg: &GenConfig,
 ) -> Result<TestSuite> {
-    // Per-target seed streams depend only on (cfg.seed, target index), and
-    // distinctness is checked within a target, so targets can be generated
-    // concurrently; collecting in target order makes the suite
-    // byte-identical at any thread count.
-    let per_target = try_par_map(
-        fw.parallelism.threads,
-        &targets.iter().copied().enumerate().collect::<Vec<_>>(),
-        |_, &(ti, target)| queries_for_target(fw, target, ti, k, strategy, cfg),
-    )?;
+    generate_suite_with(fw, targets, k, strategy, cfg, None)
+}
+
+/// [`generate_suite`] under a quarantine: per-target panics, timeouts,
+/// and budget exhaustions are quarantined and the target dropped;
+/// already-quarantined targets are skipped without touching the
+/// optimizer.
+pub fn generate_suite_supervised(
+    fw: &Framework,
+    targets: Vec<RuleTarget>,
+    k: usize,
+    strategy: Strategy,
+    cfg: &GenConfig,
+    quarantine: &mut Quarantine,
+) -> Result<TestSuite> {
+    generate_suite_with(fw, targets, k, strategy, cfg, Some(quarantine))
+}
+
+/// The generation driver under either supervision policy (see
+/// [`crate::supervise`]). Per-target seed streams depend only on
+/// `(cfg.seed, target index)`, and distinctness is checked within a
+/// target, so targets are generated concurrently; collecting in target
+/// order makes the suite byte-identical at any thread count. A dropped
+/// target's index is not reused, so the surviving targets' queries are
+/// the same as in a run that drops nothing. An unfillable target is a
+/// generation outcome, not a crash: its error returns under either
+/// policy.
+pub(crate) fn generate_suite_with(
+    fw: &Framework,
+    targets: Vec<RuleTarget>,
+    k: usize,
+    strategy: Strategy,
+    cfg: &GenConfig,
+    mut quarantine: Option<&mut Quarantine>,
+) -> Result<TestSuite> {
+    let labels: Vec<String> = targets.iter().map(|t| t.label(&fw.optimizer)).collect();
+    let pending: Vec<usize> = (0..targets.len())
+        .filter(|&ti| {
+            !quarantine
+                .as_deref()
+                .is_some_and(|q| q.contains_input(SITE_SUITE, &labels[ti]))
+        })
+        .collect();
+    let results = fan_out(fw, quarantine.is_some(), SITE_SUITE, &pending, |_, &ti| {
+        queries_for_target(fw, targets[ti], ti, k, strategy, cfg)
+    });
+    let mut kept = Vec::new();
+    let mut queries = Vec::new();
+    for (&ti, result) in pending.iter().zip(results) {
+        let target = targets[ti];
+        let settled = settle(fw, SITE_SUITE, quarantine.as_deref_mut(), result, || {
+            (labels[ti].clone(), None, target.rule_names(&fw.optimizer))
+        })?;
+        if let Some(mini) = settled {
+            let slot = kept.len();
+            kept.push(target);
+            queries.extend(mini.into_iter().map(|mut q| {
+                q.generated_for = slot;
+                q
+            }));
+        }
+    }
     Ok(TestSuite {
-        targets,
+        targets: kept,
         k,
-        queries: per_target.into_iter().flatten().collect(),
+        queries,
         seed: cfg.seed,
     })
 }
@@ -160,7 +230,7 @@ pub fn generate_suite(
 /// Finds `k` distinct untruncated queries for one target — the unit of
 /// work the suite builders fan out over. `ti` feeds both the seed stream
 /// and the `generated_for` tags of the returned queries.
-pub(crate) fn queries_for_target(
+fn queries_for_target(
     fw: &Framework,
     target: RuleTarget,
     ti: usize,

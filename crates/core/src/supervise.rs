@@ -1,35 +1,44 @@
-//! Campaign-level supervision: quarantine, supervised stage drivers, and
-//! crash repro bundles.
+//! Campaign-level supervision: quarantine, the supervision policy of the
+//! stage drivers, and crash repro bundles.
 //!
 //! `ruletest_common::supervise` provides the mechanism (panic sandbox,
 //! deadlines, the [`Failure`] taxonomy); this module provides the policy.
-//! Each campaign stage gets a supervised twin that fans the same work out
-//! through `par_map_supervised`, catches per-item failures instead of
-//! letting them abort the campaign, and records every poisoned input in a
-//! [`Quarantine`] keyed by a *stable fingerprint* of `(site, input)`. The
-//! quarantine persists in campaign checkpoints, so a `--resume` skips
+//! Each campaign stage — generation, eager graph building, correctness
+//! execution, and the checkpointed driver around them — has one driver
+//! that takes the policy as an `Option<&mut Quarantine>`:
+//!
+//! * `None` propagates: ordinary errors return and panics unwind to the
+//!   caller, exactly as a plain `par_map` fan-out behaves.
+//! * `Some(quarantine)` supervises: the fan-out runs through
+//!   `par_map_supervised` ([`fan_out`]), per-item failures are caught
+//!   instead of aborting the campaign ([`settle`]), and every poisoned
+//!   input is recorded in the [`Quarantine`] keyed by a *stable
+//!   fingerprint* of `(site, input)`. Inputs already quarantined are
+//!   skipped before any optimizer or executor call.
+//!
+//! The quarantine persists in campaign checkpoints, so a `--resume` skips
 //! known-poisoned inputs instead of re-hitting the crash; crash inputs
 //! that carry SQL are fed to the triage minimizer's shrink lattice and
-//! emitted as [`ReproBundle`]s.
+//! emitted as [`ReproBundle`]s. The public `*_supervised` names are
+//! one-line entry points selecting `Some`.
 //!
 //! **Determinism contract:** on a clean run (no failures, empty
-//! quarantine) every supervised driver performs exactly the same
-//! optimizer/executor calls, opens the same telemetry spans, and bumps
-//! the same counters as its unsupervised twin — the deterministic report
-//! slice is byte-identical with supervision on or off, at any thread
-//! count. All supervision counters are environmental (excluded from the
-//! deterministic slice), so absorbed faults never perturb it either.
+//! quarantine) both policies perform exactly the same optimizer/executor
+//! calls, open the same telemetry spans, and bump the same counters — the
+//! deterministic report slice is byte-identical with supervision on or
+//! off, at any thread count. All supervision counters are environmental
+//! (excluded from the deterministic slice), so absorbed faults never
+//! perturb it either.
 
 use crate::framework::Framework;
-use crate::generate::{GenConfig, Strategy};
-use crate::suite::{queries_for_target, BipartiteGraph, RuleTarget, TestSuite};
 use crate::triage::{bundle::BUNDLE_VERSION, minimize, ReproBundle, TriageConfig};
-use ruletest_common::{par_map_supervised, sandbox, Error, Failure, Result, RuleId};
+use ruletest_common::{
+    par_map, par_map_supervised, sandbox, Error, Failure, Fnv64, Result, RuleId,
+};
 use ruletest_executor::execute_with;
 use ruletest_logical::LogicalTree;
 use ruletest_optimizer::OptimizerConfig;
-use ruletest_telemetry::{Counter, Event, Json, Stage};
-use std::collections::{BTreeSet, HashMap};
+use ruletest_telemetry::{Counter, Event, Json};
 
 /// Supervision site labels (stable: they feed quarantine fingerprints).
 pub const SITE_SUITE: &str = "suite.generate";
@@ -37,22 +46,12 @@ pub const SITE_GRAPH: &str = "graph.edges";
 pub const SITE_EXEC_BASE: &str = "exec.base";
 pub const SITE_EXEC_PAIR: &str = "exec.pair";
 
-/// FNV-1a 64 over the `(site, input)` identity of a supervised work item.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Stable fingerprint of a supervised input: a pure function of the site
 /// label and the input's identity string (target label, SQL text, ...),
 /// never of run state like indices or thread ids — so the same poisoned
 /// input maps to the same quarantine entry across runs and resumes.
 pub fn fingerprint_u64(site: &str, input: &str) -> u64 {
-    fnv1a(format!("{site}\u{1f}{input}").as_bytes())
+    Fnv64::of(format!("{site}\u{1f}{input}").as_bytes())
 }
 
 /// [`fingerprint_u64`] rendered as the 16-hex-digit key quarantine files
@@ -203,34 +202,74 @@ impl Quarantine {
     }
 }
 
-fn failure_counter(kind: &str) -> Counter {
-    match kind {
-        "panic" => Counter::SupervisePanics,
-        "timeout" => Counter::SuperviseTimeouts,
-        _ => Counter::SuperviseBudget,
+/// One [`fan_out`] item: its result, or the failure the panic sandbox
+/// caught.
+pub(crate) type Outcome<R> = std::result::Result<Result<R>, Failure>;
+
+/// What a quarantine entry records about a poisoned input: its label
+/// (the fingerprinted identity), its SQL when it has one, and the names
+/// of the rules masked when it failed.
+pub(crate) type PoisonedInput = (String, Option<String>, Vec<String>);
+
+/// Fans `f` out over `items` on the campaign pool, results in item order.
+/// Supervised, each item runs in the panic sandbox and a panic comes back
+/// as that item's `Err(Failure)`; unsupervised, a panic unwinds to the
+/// caller after every worker finishes, as in [`par_map`].
+pub(crate) fn fan_out<T, R, F>(
+    fw: &Framework,
+    supervised: bool,
+    site: &str,
+    items: &[T],
+    f: F,
+) -> Vec<Outcome<R>>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> Result<R> + Sync,
+{
+    let threads = fw.parallelism.threads;
+    if supervised {
+        par_map_supervised(threads, items, site, f)
+    } else {
+        par_map(threads, items, |i, x| Ok(f(i, x)))
     }
 }
 
-/// Records one absorbed failure: bumps the per-kind supervision counter,
-/// emits the `supervised` event, and quarantines the input (bumping the
-/// quarantine counter only for *new* entries — a resume re-absorbing a
-/// known input is not a new quarantine).
-pub(crate) fn absorb(
+/// Settles one [`fan_out`] item under the policy. A result passes through
+/// as `Some`. Any error without a quarantine, and any error that is not a
+/// supervision failure, returns. Under a quarantine, a panic, timeout, or
+/// budget failure settles as `None` after being recorded: the per-kind
+/// supervision counter is bumped, the `supervised` event emitted, and
+/// the `input` quarantined at `site` (the quarantine counter counts only
+/// *new* entries — a resume re-absorbing a known input is not a new
+/// quarantine).
+pub(crate) fn settle<R>(
     fw: &Framework,
-    quarantine: &mut Quarantine,
     site: &str,
-    label: &str,
-    sql: Option<String>,
-    rule_mask: Vec<String>,
-    failure: &Failure,
-) {
-    let fp = fingerprint_u64(site, label);
-    fw.telemetry.incr(failure_counter(failure.kind()));
-    let site_owned = site.to_string();
+    quarantine: Option<&mut Quarantine>,
+    item: Outcome<R>,
+    input: impl FnOnce() -> PoisonedInput,
+) -> Result<Option<R>> {
+    let Some(quarantine) = quarantine else {
+        // An unsupervised fan-out never catches: its panics already unwound.
+        return item.expect("unsupervised fan-out caught a panic").map(Some);
+    };
+    let failure = match item {
+        Ok(Ok(value)) => return Ok(Some(value)),
+        Ok(Err(e)) => Failure::from_error(&e).ok_or(e)?,
+        Err(failure) => failure,
+    };
+    let (label, sql, rule_mask) = input();
+    let fp = fingerprint_u64(site, &label);
     let kind = failure.kind();
+    fw.telemetry.incr(match kind {
+        "panic" => Counter::SupervisePanics,
+        "timeout" => Counter::SuperviseTimeouts,
+        _ => Counter::SuperviseBudget,
+    });
     fw.telemetry.event(|| Event::Supervised {
         kind,
-        site: site_owned.clone(),
+        site: site.to_string(),
         fingerprint: fp,
     });
     let new = quarantine.add(QuarantineEntry {
@@ -238,270 +277,14 @@ pub(crate) fn absorb(
         kind: kind.to_string(),
         site: site.to_string(),
         message: failure.message().to_string(),
-        label: label.to_string(),
+        label,
         sql,
         rule_mask,
     });
     if new {
         fw.telemetry.incr(Counter::SuperviseQuarantined);
     }
-}
-
-// ---------------------------------------------------------------------
-// Supervised stage drivers.
-
-/// Supervised twin of [`crate::suite::generate_suite`]: per-target
-/// panics, timeouts, and budget exhaustions are quarantined and the
-/// target dropped; already-quarantined targets are skipped without
-/// touching the optimizer. Ordinary generation errors (an unfillable
-/// target) propagate exactly as in the unsupervised builder. Each target
-/// keeps its *original* index as the seed-stream key, so the queries of
-/// surviving targets are byte-identical to an unsupervised run.
-pub fn generate_suite_supervised(
-    fw: &Framework,
-    targets: Vec<RuleTarget>,
-    k: usize,
-    strategy: Strategy,
-    cfg: &GenConfig,
-    quarantine: &mut Quarantine,
-) -> Result<TestSuite> {
-    let labeled: Vec<(usize, RuleTarget, String)> = targets
-        .into_iter()
-        .enumerate()
-        .map(|(ti, t)| {
-            let label = t.label(&fw.optimizer);
-            (ti, t, label)
-        })
-        .collect();
-    let pending: Vec<&(usize, RuleTarget, String)> = labeled
-        .iter()
-        .filter(|(_, _, label)| !quarantine.contains_input(SITE_SUITE, label))
-        .collect();
-    let results = par_map_supervised(fw.parallelism.threads, &pending, SITE_SUITE, |_, item| {
-        let (ti, target, _) = **item;
-        queries_for_target(fw, target, ti, k, strategy, cfg)
-    });
-    let mut kept = Vec::new();
-    let mut queries = Vec::new();
-    for (item, result) in pending.into_iter().zip(results) {
-        let (_, target, ref label) = *item;
-        let mask = || {
-            target
-                .rules()
-                .iter()
-                .map(|&r| fw.optimizer.rule(r).name.to_string())
-                .collect()
-        };
-        match result {
-            Ok(Ok(mini)) => {
-                let slot = kept.len();
-                kept.push(target);
-                queries.extend(mini.into_iter().map(|mut q| {
-                    q.generated_for = slot;
-                    q
-                }));
-            }
-            Ok(Err(e)) => match Failure::from_error(&e) {
-                Some(failure) => absorb(fw, quarantine, SITE_SUITE, label, None, mask(), &failure),
-                // An unfillable target is a generation outcome, not a
-                // crash: same abort semantics as the strict builder.
-                None => return Err(e),
-            },
-            Err(failure) => absorb(fw, quarantine, SITE_SUITE, label, None, mask(), &failure),
-        }
-    }
-    Ok(TestSuite {
-        targets: kept,
-        k,
-        queries,
-        seed: cfg.seed,
-    })
-}
-
-/// Drops the targets at `drop` (sorted set of indices) from `suite`,
-/// discarding their dedicated queries and retagging the survivors.
-/// Returns the shrunk suite plus the query remap (`old -> Some(new)`).
-fn drop_targets(suite: &TestSuite, drop: &BTreeSet<usize>) -> (TestSuite, Vec<Option<usize>>) {
-    let mut target_remap: Vec<Option<usize>> = Vec::with_capacity(suite.targets.len());
-    let mut targets = Vec::new();
-    for (t, &target) in suite.targets.iter().enumerate() {
-        if drop.contains(&t) {
-            target_remap.push(None);
-        } else {
-            target_remap.push(Some(targets.len()));
-            targets.push(target);
-        }
-    }
-    let mut query_remap: Vec<Option<usize>> = Vec::with_capacity(suite.queries.len());
-    let mut queries = Vec::new();
-    for q in &suite.queries {
-        match target_remap[q.generated_for] {
-            Some(nt) => {
-                query_remap.push(Some(queries.len()));
-                let mut q = q.clone();
-                q.generated_for = nt;
-                queries.push(q);
-            }
-            None => query_remap.push(None),
-        }
-    }
-    (
-        TestSuite {
-            targets,
-            k: suite.k,
-            queries,
-            seed: suite.seed,
-        },
-        query_remap,
-    )
-}
-
-/// Supervised twin of [`crate::suite::build_graph`]: edge costs are
-/// computed per target inside the sandbox; a target whose edge
-/// computation fails is quarantined and dropped *together with its
-/// dedicated queries* (the suite shrinks), rather than aborting the
-/// campaign. Returns the (possibly shrunk) suite the graph indexes.
-///
-/// Clean path: one `par_map_supervised` pass with the same per-target
-/// spans, oracle-call counters, and edge costs as the eager builder —
-/// the deterministic slice is byte-identical.
-pub fn build_graph_supervised(
-    fw: &Framework,
-    suite: &TestSuite,
-    quarantine: &mut Quarantine,
-) -> Result<(TestSuite, BipartiteGraph)> {
-    let labels: Vec<String> = suite
-        .targets
-        .iter()
-        .map(|t| t.label(&fw.optimizer))
-        .collect();
-    let pre_drop: BTreeSet<usize> = (0..suite.targets.len())
-        .filter(|&t| quarantine.contains_input(SITE_GRAPH, &labels[t]))
-        .collect();
-    let (base, _) = drop_targets(suite, &pre_drop);
-    let base_labels: Vec<String> = base
-        .targets
-        .iter()
-        .map(|t| t.label(&fw.optimizer))
-        .collect();
-
-    let adjacency: Vec<Vec<usize>> = (0..base.targets.len()).map(|t| base.covering(t)).collect();
-    let indexed: Vec<usize> = (0..base.targets.len()).collect();
-    let results = par_map_supervised(fw.parallelism.threads, &indexed, SITE_GRAPH, |_, &t| {
-        // Same leaf-closure span as the unsupervised builder: the span
-        // tree stays identical at any thread count, supervised or not.
-        let _span = fw.telemetry.span(Stage::Graph);
-        let rules = base.targets[t].rules();
-        let mut edges = Vec::with_capacity(adjacency[t].len());
-        for &q in &adjacency[t] {
-            let res = fw
-                .optimizer
-                .optimize_with_cached(&base.queries[q].tree, &OptimizerConfig::disabling(&rules))?;
-            fw.telemetry.incr(Counter::OracleCalls);
-            edges.push((q, res.cost));
-        }
-        Ok(edges)
-    });
-
-    let mut failed: BTreeSet<usize> = BTreeSet::new();
-    let mut per_target: Vec<Option<Vec<(usize, f64)>>> = Vec::with_capacity(results.len());
-    for (t, result) in results.into_iter().enumerate() {
-        let mask: Vec<String> = base.targets[t]
-            .rules()
-            .iter()
-            .map(|&r| fw.optimizer.rule(r).name.to_string())
-            .collect();
-        match result {
-            Ok(Ok(edges)) => per_target.push(Some(edges)),
-            Ok(Err(e)) => match Failure::from_error(&e) {
-                Some(failure) => {
-                    absorb(
-                        fw,
-                        quarantine,
-                        SITE_GRAPH,
-                        &base_labels[t],
-                        None,
-                        mask,
-                        &failure,
-                    );
-                    failed.insert(t);
-                    per_target.push(None);
-                }
-                None => return Err(e),
-            },
-            Err(failure) => {
-                absorb(
-                    fw,
-                    quarantine,
-                    SITE_GRAPH,
-                    &base_labels[t],
-                    None,
-                    mask,
-                    &failure,
-                );
-                failed.insert(t);
-                per_target.push(None);
-            }
-        }
-    }
-
-    if failed.is_empty() {
-        // Fast path (and the clean-run determinism path): `base` is the
-        // graph's suite; assemble the graph directly from the per-target
-        // edge lists.
-        let mut edges: HashMap<(usize, usize), f64> = HashMap::new();
-        for (t, list) in per_target.iter().enumerate() {
-            for &(q, c) in list.as_ref().expect("no failed targets") {
-                edges.insert((t, q), c);
-            }
-        }
-        let optimizer_calls = edges.len() as u64;
-        let graph = BipartiteGraph {
-            targets: base.targets.clone(),
-            k: base.k,
-            node_cost: base.queries.iter().map(|q| q.cost).collect(),
-            adjacency,
-            edges,
-            generated_for: base.queries.iter().map(|q| q.generated_for).collect(),
-            optimizer_calls,
-        };
-        return Ok((base, graph));
-    }
-
-    // Some targets failed: shrink the suite again and remap the edge
-    // lists of the survivors onto the new indices.
-    let (final_suite, query_remap) = drop_targets(&base, &failed);
-    let adjacency: Vec<Vec<usize>> = (0..final_suite.targets.len())
-        .map(|t| final_suite.covering(t))
-        .collect();
-    let mut edges: HashMap<(usize, usize), f64> = HashMap::new();
-    let mut nt = 0usize;
-    for list in &per_target {
-        let Some(list) = list else {
-            continue; // dropped target
-        };
-        for &(q, c) in list {
-            if let Some(nq) = query_remap[q] {
-                edges.insert((nt, nq), c);
-            }
-        }
-        nt += 1;
-    }
-    let optimizer_calls = edges.len() as u64;
-    let graph = BipartiteGraph {
-        targets: final_suite.targets.clone(),
-        k: final_suite.k,
-        node_cost: final_suite.queries.iter().map(|q| q.cost).collect(),
-        adjacency,
-        edges,
-        generated_for: final_suite
-            .queries
-            .iter()
-            .map(|q| q.generated_for)
-            .collect(),
-        optimizer_calls,
-    };
-    Ok((final_suite, graph))
+    Ok(None)
 }
 
 // ---------------------------------------------------------------------
@@ -585,7 +368,7 @@ pub fn crash_bundles(
             version: BUNDLE_VERSION,
             target_label: entry.label.clone(),
             rule_mask: entry.rule_mask.clone(),
-            fault: cfg.fault.map(|f| f.name().to_string()),
+            fault: cfg.fault.map(|m| m.id.to_string()),
             seed: suite_seed,
             db_seed: fw.db_profile.db_seed,
             scale: fw.db_profile.scale as u64,
@@ -628,6 +411,8 @@ pub fn quarantine_summary(q: &Quarantine) -> String {
 mod tests {
     use super::*;
     use crate::framework::FrameworkConfig;
+    use crate::generate::{GenConfig, Strategy};
+    use crate::suite::{build_graph_supervised, generate_suite_supervised};
 
     #[test]
     fn fingerprints_are_stable_and_site_scoped() {

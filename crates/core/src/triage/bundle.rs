@@ -11,7 +11,7 @@
 //! Bundles serialize one-per-line as JSONL so campaign artifacts can be
 //! concatenated, grepped, and replayed individually.
 
-use crate::faults::{buggy_optimizer, Fault};
+use crate::mutate::{mutant_optimizer, Mutant};
 use ruletest_common::{diff_multisets, Error, Result, RuleId};
 use ruletest_executor::{execute_with, ExecConfig};
 use ruletest_optimizer::{Optimizer, OptimizerConfig};
@@ -32,7 +32,8 @@ pub struct ReproBundle {
     pub target_label: String,
     /// Names of the rules masked in `Plan(q, ¬R)`.
     pub rule_mask: Vec<String>,
-    /// Name of the injected [`Fault`], when the run was fault-injected.
+    /// Id of the injected catalog [`Mutant`], when the run was
+    /// fault-injected.
     pub fault: Option<String>,
     /// Suite generation seed (provenance; not needed to replay).
     pub seed: u64,
@@ -175,10 +176,7 @@ pub fn replay(bundle: &ReproBundle) -> Result<ReplayOutcome> {
         bundle.scale as usize,
     ))?);
     let optimizer = match &bundle.fault {
-        Some(name) => {
-            let fault = Fault::from_name(name)?;
-            buggy_optimizer(db.clone(), fault)
-        }
+        Some(id) => mutant_optimizer(db.clone(), Mutant::by_id(id)?),
         None => Optimizer::new(db.clone()),
     };
     let rules: Vec<RuleId> = bundle
@@ -264,6 +262,8 @@ mod tests {
     fn unknown_fault_name_fails_replay_cleanly() {
         let mut b = sample();
         b.fault = Some("NoSuchFault".to_string());
-        assert!(replay(&b).is_err());
+        let msg = replay(&b).unwrap_err().to_string();
+        assert!(msg.contains("NoSuchFault"), "{msg}");
+        assert!(msg.contains("OuterJoinSimplifyUnconditional"), "{msg}");
     }
 }

@@ -210,7 +210,7 @@ fn rebuild_at_scale(
     let db_seed = fw.db_profile.db_seed;
     let db = Arc::new(tpch_database(&TpchConfig::scaled(db_seed, scale)).ok()?);
     let optimizer = Arc::new(match cfg.fault {
-        Some(fault) => crate::faults::buggy_optimizer(db, fault),
+        Some(fault) => crate::mutate::mutant_optimizer(db, fault),
         None => Optimizer::new(db),
     });
     let rules: Option<Vec<RuleId>> = mask_names.iter().map(|n| optimizer.rule_id(n)).collect();

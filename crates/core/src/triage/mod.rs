@@ -21,8 +21,8 @@ pub mod minimize;
 pub mod signature;
 
 use crate::correctness::{BugReport, CorrectnessReport};
-use crate::faults::Fault;
 use crate::framework::Framework;
+use crate::mutate::Mutant;
 use crate::suite::TestSuite;
 use ruletest_common::{Error, Result, RuleId};
 use ruletest_executor::ExecConfig;
@@ -40,9 +40,10 @@ pub struct TriageConfig {
     pub exec: ExecConfig,
     /// Cap on accepted shrink steps per bug.
     pub max_steps: usize,
-    /// The fault injected into the framework's optimizer, if any —
-    /// recorded in repro bundles so replay can rebuild the same optimizer.
-    pub fault: Option<Fault>,
+    /// The catalog mutant injected into the framework's optimizer, if
+    /// any — recorded in repro bundles by id so replay can rebuild the
+    /// same optimizer.
+    pub fault: Option<&'static Mutant>,
 }
 
 impl Default for TriageConfig {
@@ -159,7 +160,7 @@ pub fn to_bundles(
             version: bundle::BUNDLE_VERSION,
             target_label: b.report.target_label.clone(),
             rule_mask: b.report.rule_mask.clone(),
-            fault: cfg.fault.map(|f| f.name().to_string()),
+            fault: cfg.fault.map(|m| m.id.to_string()),
             seed: b.report.seed,
             db_seed: fw.db_profile.db_seed,
             scale: b.scale as u64,
@@ -253,9 +254,9 @@ fn triage_one(
 mod tests {
     use super::*;
     use crate::compress::{topk, Instance};
-    use crate::faults::buggy_optimizer;
     use crate::framework::FrameworkConfig;
     use crate::generate::{GenConfig, Strategy};
+    use crate::mutate::mutant_optimizer;
     use crate::suite::{build_graph, generate_suite, singleton_targets};
     use ruletest_executor::ExecConfig;
     use std::sync::Arc;
@@ -282,13 +283,13 @@ mod tests {
     fn duplicate_findings_collapse_to_one_signature() {
         // Inject one fault, find a bug via generation, then hand the
         // *same* finding to triage twice: the second must collapse.
-        let fault = crate::faults::Fault::SelectMergedIntoOuterJoin;
+        let fault = Mutant::by_id("SelectMergedIntoOuterJoin").unwrap();
         let db = Arc::new(
             ruletest_storage::tpch_database(&ruletest_storage::TpchConfig::default()).unwrap(),
         );
-        let opt = Arc::new(buggy_optimizer(db, fault));
+        let opt = Arc::new(mutant_optimizer(db, fault));
         let fw = Framework::with_optimizer(opt);
-        let rule = fw.optimizer.rule_id(fault.rule_name()).unwrap();
+        let rule = fw.optimizer.rule_id(fault.rule_name).unwrap();
         let targets = vec![crate::suite::RuleTarget::Single(rule)];
         let mut found = None;
         for seed in [3u64, 11, 19, 27, 40, 55, 63, 71] {

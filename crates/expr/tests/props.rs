@@ -45,7 +45,7 @@ fn int_expr(rng: &mut Rng, depth: usize) -> Expr {
         }
         1 => Expr::is_null(int_expr(rng, depth - 1)),
         _ => {
-            let mut cmp = |rng: &mut Rng| {
+            let cmp = |rng: &mut Rng| {
                 let op = cmp_op(rng);
                 let a = int_expr(rng, depth - 1);
                 let b = int_expr(rng, depth - 1);

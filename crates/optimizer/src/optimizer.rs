@@ -22,7 +22,6 @@ use ruletest_telemetry::{Counter, Event, Hist, ProfileSample, RulePhase, Telemet
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
-use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -133,9 +132,6 @@ pub struct Optimizer {
     /// Disk-backed warm store (`--cache-dir`), attached once like
     /// telemetry; never attached → the cached path never touches disk.
     store: OnceLock<Arc<SnapshotStore>>,
-    /// Injected sink for memo dumps; `None` falls back to stderr when the
-    /// `RULETEST_DUMP_MEMO` environment variable requests dumps.
-    memo_sink: Mutex<Option<Box<dyn Write + Send>>>,
     /// Debug-mode static auditor run on every exploration substitute
     /// before it is inserted into the memo (see the `ruletest-lint`
     /// crate); `None` (the default) costs one branch per rule firing.
@@ -241,7 +237,6 @@ impl Optimizer {
             cache: OptCache::default(),
             telemetry: OnceLock::new(),
             store: OnceLock::new(),
-            memo_sink: Mutex::new(None),
             auditor: Mutex::new(None),
         }
     }
@@ -284,13 +279,6 @@ impl Optimizer {
         let persisted = store.save()?;
         self.telemetry().add(Counter::CachePersisted, persisted);
         Ok(persisted)
-    }
-
-    /// Installs a sink that receives a memo dump after every optimization
-    /// (instead of the `RULETEST_DUMP_MEMO`-gated stderr fallback). Pass
-    /// `None` to uninstall.
-    pub fn set_memo_sink(&self, sink: Option<Box<dyn Write + Send>>) {
-        *self.memo_sink.lock().expect("memo sink poisoned") = sink;
     }
 
     /// Installs a debug-mode substitute auditor, invoked on every
@@ -652,8 +640,6 @@ impl Optimizer {
             }
         }
 
-        self.maybe_dump_memo(&memo);
-
         // ---- Implementation & extraction ----
         let mut extractor = Extractor {
             optimizer: self,
@@ -703,44 +689,6 @@ impl Optimizer {
             sample,
         ))
     }
-
-    /// Writes a memo dump to the injected sink (see
-    /// [`Optimizer::set_memo_sink`]); without a sink, dumps to stderr only
-    /// when the `RULETEST_DUMP_MEMO` environment variable is set.
-    fn maybe_dump_memo(&self, memo: &Memo) {
-        let mut sink = self.memo_sink.lock().expect("memo sink poisoned");
-        match sink.as_mut() {
-            Some(w) => {
-                let _ = write_memo_dump(memo, w.as_mut());
-            }
-            None => {
-                if std::env::var_os("RULETEST_DUMP_MEMO").is_some() {
-                    let _ = write_memo_dump(memo, &mut std::io::stderr().lock());
-                }
-            }
-        }
-    }
-}
-
-/// Renders every memo group and expression (organic expressions unstarred,
-/// derived ones starred) to `out`.
-fn write_memo_dump(memo: &Memo, out: &mut dyn Write) -> std::io::Result<()> {
-    for g in 0..memo.num_groups() {
-        let gid = GroupId(g as u32);
-        let group = memo.group(gid);
-        writeln!(out, "group g{g} (rows={:.1}):", group.est_rows)?;
-        for (i, e) in group.exprs.iter().enumerate() {
-            let kids: Vec<String> = e.children.iter().map(|c| c.to_string()).collect();
-            writeln!(
-                out,
-                "  [{i}]{} {} ({})",
-                if group.organic[i] { "" } else { "*" },
-                e.op.label(),
-                kids.join(", ")
-            )?;
-        }
-    }
-    Ok(())
 }
 
 /// Signature of one concrete binding: the (group, expression) pairs
@@ -1237,38 +1185,6 @@ mod tests {
         let _ = opt.optimize(&tree).unwrap();
         let _ = opt.optimize(&tree).unwrap();
         assert_eq!(opt.telemetry().counter(Counter::OptInvocations), 2);
-    }
-
-    #[test]
-    fn memo_sink_receives_the_dump() {
-        use std::sync::{Arc as SArc, Mutex as SMutex};
-
-        #[derive(Clone)]
-        struct Buf(SArc<SMutex<Vec<u8>>>);
-        impl Write for Buf {
-            fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(data);
-                Ok(data.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let opt = optimizer();
-        let buf = Buf(SArc::new(SMutex::new(Vec::new())));
-        opt.set_memo_sink(Some(Box::new(buf.clone())));
-        let tree = simple_join(&opt);
-        let _ = opt.optimize(&tree).unwrap();
-        let dump = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        assert!(dump.contains("group g0"), "dump: {dump:?}");
-        assert!(dump.contains("JOIN"), "dump: {dump:?}");
-
-        // Uninstalling stops the dumps.
-        opt.set_memo_sink(None);
-        buf.0.lock().unwrap().clear();
-        let _ = opt.optimize(&tree).unwrap();
-        assert!(buf.0.lock().unwrap().is_empty());
     }
 
     #[test]

@@ -30,7 +30,7 @@ use crate::cache::CacheKey;
 use crate::optimizer::OptimizeResult;
 use crate::physical::{PhysOp, PhysicalPlan};
 use crate::rule::Rule;
-use ruletest_common::{ColId, DataType, RuleId, TableId, Value};
+use ruletest_common::{ColId, DataType, Fnv64, RuleId, TableId, Value};
 use ruletest_expr::{AggCall, AggFunc, BinOp, Expr};
 use ruletest_logical::{ColumnInfo, JoinKind, LogicalTree, Operator, Schema, SortKey};
 use ruletest_storage::Catalog;
@@ -50,55 +50,6 @@ pub const FORMAT_VERSION: u64 = 1;
 /// cache's shard count so either can change without invalidating
 /// snapshots.
 pub const DISK_SHARDS: usize = 16;
-
-// ---------------------------------------------------------------------
-// Stable hashing (FNV-1a 64).
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Incremental FNV-1a 64-bit hasher. Stable across processes, platforms,
-/// and toolchain releases — unlike `DefaultHasher`, which is free to
-/// change and is seeded per process.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv64(u64);
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Fnv64(FNV_OFFSET)
-    }
-}
-
-impl Fnv64 {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn write(&mut self, bytes: &[u8]) -> &mut Self {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-        self
-    }
-
-    pub fn write_str(&mut self, s: &str) -> &mut Self {
-        // Length prefix keeps concatenated fields unambiguous.
-        self.write_u64(s.len() as u64).write(s.as_bytes())
-    }
-
-    pub fn write_u64(&mut self, v: u64) -> &mut Self {
-        self.write(&v.to_le_bytes())
-    }
-
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-fn fnv1a_str(s: &str) -> u64 {
-    Fnv64::new().write(s.as_bytes()).finish()
-}
 
 /// The campaign fingerprint guarding a snapshot: schema catalog, rule
 /// catalog (names, kinds, preconditions, in id order), database seed and
@@ -159,19 +110,10 @@ fn arr_field<'a>(j: &'a Json, field: &str) -> Result<&'a [Json], String> {
         .ok_or_else(|| err(field))
 }
 
-/// `f64` as the hex of its bit pattern: `Json` numbers are `f64` but
-/// integers are only exact to 2^53, and a round-trip through decimal
-/// could perturb the bits — costs must compare bit-identical warm vs
-/// cold.
-fn f64_to_json(f: f64) -> Json {
-    Json::str(format!("{:016x}", f.to_bits()))
-}
-
-fn f64_from_json(j: &Json, field: &str) -> Result<f64, String> {
-    let s = str_field(j, field)?;
-    u64::from_str_radix(s, 16)
-        .map(f64::from_bits)
-        .map_err(|_| err(field))
+fn f64_field(j: &Json, field: &str) -> Result<f64, String> {
+    j.get(field)
+        .and_then(Json::as_f64_bits)
+        .ok_or_else(|| err(field))
 }
 
 fn col_list(cols: &[ColId]) -> Json {
@@ -773,8 +715,8 @@ pub fn plan_to_json(plan: &PhysicalPlan) -> Json {
             Json::Arr(plan.children.iter().map(plan_to_json).collect()),
         ),
         ("schema", schema_to_json(&plan.schema)),
-        ("est_rows", f64_to_json(plan.est_rows)),
-        ("est_cost", f64_to_json(plan.est_cost)),
+        ("est_rows", Json::f64_bits(plan.est_rows)),
+        ("est_cost", Json::f64_bits(plan.est_cost)),
     ])
 }
 
@@ -786,8 +728,8 @@ pub fn plan_from_json(j: &Json) -> Result<PhysicalPlan, String> {
             .map(plan_from_json)
             .collect::<Result<Vec<_>, _>>()?,
         schema: schema_from(j, "schema")?,
-        est_rows: f64_from_json(j, "est_rows")?,
-        est_cost: f64_from_json(j, "est_cost")?,
+        est_rows: f64_field(j, "est_rows")?,
+        est_cost: f64_field(j, "est_cost")?,
     })
 }
 
@@ -805,7 +747,7 @@ fn rule_id_from(j: &Json) -> Result<RuleId, String> {
 pub fn result_to_json(result: &OptimizeResult) -> Json {
     Json::obj(vec![
         ("plan", plan_to_json(&result.plan)),
-        ("cost", f64_to_json(result.cost)),
+        ("cost", Json::f64_bits(result.cost)),
         (
             "rule_set",
             rule_ids_to_json(result.rule_set.iter().copied()),
@@ -848,7 +790,7 @@ pub fn result_from_json(j: &Json) -> Result<OptimizeResult, String> {
         .collect::<Result<_, String>>()?;
     Ok(OptimizeResult {
         plan: plan_from_json(j.get("plan").ok_or_else(|| err("result plan"))?)?,
-        cost: f64_from_json(j, "cost")?,
+        cost: f64_field(j, "cost")?,
         rule_set,
         rule_dependencies,
         groups: u64_field(j, "groups")? as usize,
@@ -885,8 +827,8 @@ pub fn canonical_key(key: &CacheKey) -> String {
 // The snapshot store.
 
 /// Atomic write: temp sibling + rename. A crash mid-write leaves the old
-/// file (or no file), never a torn one.
-fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
+/// file (or no file), never a torn one. Campaign checkpoints use it too.
+pub fn write_atomic(path: &Path, contents: impl AsRef<[u8]>) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
     fs::write(&tmp, contents)?;
     fs::rename(&tmp, path)
@@ -1046,7 +988,7 @@ impl SnapshotStore {
     }
 
     fn shard_index(key_str: &str) -> usize {
-        (fnv1a_str(key_str) % DISK_SHARDS as u64) as usize
+        (Fnv64::of(key_str.as_bytes()) % DISK_SHARDS as u64) as usize
     }
 
     /// Returns the warm entry for `key`, leaving it in the store. Peek
@@ -1118,10 +1060,7 @@ impl SnapshotStore {
                 Json::str(format!("{:016x}", self.fingerprint)),
             ),
         ]);
-        write_atomic(
-            &self.dir.join("MANIFEST.json"),
-            &manifest.to_string_pretty(),
-        )?;
+        write_atomic(&self.dir.join("MANIFEST.json"), manifest.to_string_pretty())?;
         Ok(persisted)
     }
 
@@ -1267,23 +1206,6 @@ mod tests {
         // it byte-for-byte (the content-addressing invariant).
         let parsed = Json::parse(&canonical_key(&a)).unwrap();
         assert_eq!(parsed.to_string_compact(), canonical_key(&a));
-    }
-
-    #[test]
-    fn f64_bits_survive_the_round_trip() {
-        for f in [0.0, -0.0, 1.5, f64::MIN_POSITIVE, 1e300, 0.1 + 0.2] {
-            let j = Json::obj(vec![("x", f64_to_json(f))]);
-            let back = f64_from_json(&j, "x").unwrap();
-            assert_eq!(back.to_bits(), f.to_bits());
-        }
-    }
-
-    #[test]
-    fn fnv_is_stable() {
-        // Golden values: the hash must never change across releases, or
-        // every snapshot in the field would be silently rejected.
-        assert_eq!(fnv1a_str(""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a_str("a"), 0xaf63_dc4c_8601_ec8c);
     }
 
     fn dummy_result(cost: f64) -> Arc<OptimizeResult> {

@@ -254,8 +254,10 @@ mod tests {
 
     #[test]
     fn nullable_columns_actually_contain_nulls() {
-        let mut cfg = TpchConfig::default();
-        cfg.null_probability = 0.3;
+        let cfg = TpchConfig {
+            null_probability: 0.3,
+            ..TpchConfig::default()
+        };
         let db = tpch_database(&cfg).unwrap();
         let sup = db.table(SUPPLIER).unwrap();
         let nulls = sup.rows.iter().filter(|r| r[3].is_null()).count();

@@ -334,8 +334,10 @@ mod tests {
         let tb = b.table(table_ids::ORDERS).unwrap();
         assert_eq!(ta.rows, tb.rows);
 
-        let mut cfg2 = TpchConfig::default();
-        cfg2.seed = 999;
+        let cfg2 = TpchConfig {
+            seed: 999,
+            ..TpchConfig::default()
+        };
         let c = tpch_database(&cfg2).unwrap();
         assert_ne!(ta.rows, c.table(table_ids::ORDERS).unwrap().rows);
     }

@@ -82,6 +82,21 @@ impl Json {
         }
     }
 
+    /// `f` as the 16 hex digits of its bit pattern. A `Num` goes through
+    /// decimal text, which may perturb the bits; costs that must compare
+    /// bit-identical across processes (cache snapshots, campaign
+    /// checkpoints) use this encoding instead.
+    pub fn f64_bits(f: f64) -> Json {
+        Json::Str(format!("{:016x}", f.to_bits()))
+    }
+
+    /// Inverse of [`Json::f64_bits`].
+    pub fn as_f64_bits(&self) -> Option<f64> {
+        self.as_str()
+            .and_then(|s| u64::from_str_radix(s, 16).ok())
+            .map(f64::from_bits)
+    }
+
     /// Member lookup on objects (`None` for non-objects / absent keys).
     pub fn get(&self, key: &str) -> Option<&Json> {
         self.as_obj().and_then(|m| m.get(key))
@@ -340,6 +355,16 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<f64, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn f64_bits_survive_the_round_trip() {
+        for f in [0.0, -0.0, 1.5, f64::MIN_POSITIVE, 1e300, 0.1 + 0.2] {
+            let back = Json::f64_bits(f).as_f64_bits().unwrap();
+            assert_eq!(back.to_bits(), f.to_bits());
+        }
+        assert_eq!(Json::str("not hex").as_f64_bits(), None);
+        assert_eq!(Json::num(1.5).as_f64_bits(), None);
+    }
 
     #[test]
     fn roundtrip_compact() {

@@ -818,8 +818,10 @@ mod tests {
     #[test]
     fn flush_with_empty_stack_makes_a_root_optimize_row() {
         let p = Arc::new(Profiler::default());
-        let mut s = ProfileSample::default();
-        s.elapsed_ns = 7;
+        let s = ProfileSample {
+            elapsed_ns: 7,
+            ..ProfileSample::default()
+        };
         p.flush_optimize(&s);
         let sec = p.section(&[]);
         sec.validate().unwrap();

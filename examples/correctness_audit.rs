@@ -12,9 +12,9 @@
 
 use ruletest::core::compress::{baseline, smc, topk, Instance};
 use ruletest::core::correctness::execute_solution;
-use ruletest::core::faults::{buggy_optimizer, Fault};
 use ruletest::core::{
-    build_graph, generate_suite, singleton_targets, Framework, FrameworkConfig, GenConfig, Strategy,
+    build_graph, generate_suite, mutant_optimizer, singleton_targets, Framework, FrameworkConfig,
+    GenConfig, Mutant, Strategy,
 };
 use ruletest::executor::ExecConfig;
 use ruletest::storage::{tpch_database, TpchConfig};
@@ -78,10 +78,10 @@ fn main() {
 
     println!("\n== same pipeline against a sabotaged optimizer ==");
     let db = Arc::new(tpch_database(&TpchConfig::default()).expect("db"));
-    let fault = Fault::OuterJoinSimplifyUnconditional;
-    let buggy = Arc::new(buggy_optimizer(db, fault));
+    let fault = Mutant::by_id("OuterJoinSimplifyUnconditional").expect("catalog mutant");
+    let buggy = Arc::new(mutant_optimizer(db, fault));
     let buggy_fw = Framework::with_optimizer(buggy.clone());
-    let rule = buggy.rule_id(fault.rule_name()).expect("rule");
+    let rule = buggy.rule_id(fault.rule_name).expect("rule");
     for seed in [3u64, 11, 19, 27, 40] {
         let Ok(suite) = generate_suite(
             &buggy_fw,

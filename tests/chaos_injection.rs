@@ -9,14 +9,18 @@
 //! only a sequential run gives those counts a deterministic order.
 
 use ruletest_common::chaos::{self, ChaosPlan};
+use ruletest_common::Failure;
 use ruletest_core::compress::topk;
+use ruletest_core::correctness::execute_solution;
 use ruletest_core::{
-    crash_bundles, execute_solution_supervised, run_checkpointed_campaign_supervised,
-    CampaignParams, Framework, FrameworkConfig, GenConfig, Instance, Quarantine,
+    crash_bundles, execute_solution_supervised, run_checkpointed_campaign,
+    run_checkpointed_campaign_supervised, CampaignParams, Framework, FrameworkConfig, GenConfig,
+    Instance, Quarantine,
 };
 use ruletest_core::{CorrectnessReport, TriageConfig};
 use ruletest_executor::ExecConfig;
 use ruletest_telemetry::{Counter, RunReport, Telemetry};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -233,4 +237,56 @@ fn cache_io_chaos_degrades_to_cold_start() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The propagate policy never drops input: with no quarantine, an
+/// injected panic or budget fault surfaces from the strict drivers as a
+/// panic or an `Err` — never as a shrunk suite or a quarantined skip.
+#[test]
+fn strict_drivers_surface_every_fault() {
+    let _guard = locked();
+    // Calibration, as in the storm test: a budget fault inside generation
+    // is retried as a discarded trial, so aim it one memo insert past
+    // generation, into the graph stage.
+    chaos::install(ChaosPlan::parse("memo.insert:budget@1000000000000").unwrap());
+    run_checkpointed_campaign(&fw(), &params(), None, false, Some("suite")).unwrap();
+    let gen_hits = chaos::site_hits("memo.insert");
+    chaos::clear();
+
+    let plans = [
+        "memo.insert:panic@35#1".to_string(),
+        format!("memo.insert:budget@{}#1", gen_hits + 1),
+        "exec.batch:panic@3#1".to_string(),
+    ];
+    for plan in &plans {
+        chaos::install(ChaosPlan::parse(plan).unwrap());
+        let fw = fw();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let run = run_checkpointed_campaign(&fw, &params(), None, false, None)?
+                .expect("no stop hook");
+            assert_eq!(
+                run.suite.targets.len(),
+                params().rules,
+                "{plan}: the strict campaign shrank the suite"
+            );
+            let inst = Instance::from_graph(&run.graph);
+            let sol = topk(&inst).unwrap();
+            execute_solution(&fw, &run.suite, &inst, &sol, &ExecConfig::default())
+        }));
+        let stats = chaos::stats();
+        chaos::clear();
+        assert_eq!(stats.total(), 1, "{plan}: the fault never fired");
+        match outcome {
+            Err(_) => {} // the panic unwound to the caller
+            Ok(Err(e)) => assert!(
+                Failure::from_error(&e).is_some(),
+                "{plan}: surfaced as an unrelated error: {e}"
+            ),
+            Ok(Ok(report)) => panic!(
+                "{plan}: the strict drivers absorbed the fault \
+                 ({} skipped-quarantined, {} validations)",
+                report.skipped_quarantined, report.validations
+            ),
+        }
+    }
 }
