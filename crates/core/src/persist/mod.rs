@@ -37,11 +37,11 @@ use crate::suite::{
     generate_suite_with, singleton_targets, BipartiteGraph, RuleTarget, SuiteQuery, TestSuite,
 };
 use crate::supervise::Quarantine;
-use ruletest_common::{Error, Result, RuleId};
-use ruletest_optimizer::persist::{tree_from_json, tree_to_json, write_atomic};
+use ruletest_common::{Error, Result};
+use ruletest_optimizer::codec;
+use ruletest_optimizer::persist::{field, write_atomic, Codec};
 use ruletest_optimizer::SnapshotStore;
 use ruletest_telemetry::{Json, RunReport, Stage};
-use std::collections::{BTreeSet, HashMap};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -57,6 +57,9 @@ pub const CHECKPOINT_FORMAT: u64 = 2;
 pub const STAGE_SUITE: &str = "suite";
 pub const STAGE_GRAPH: &str = "graph";
 
+/// The persisted quarantine's file name, next to the stage files.
+const QUARANTINE_FILE: &str = "quarantine.json";
+
 /// Boundary stamps for the snapshot store: which completed stage an
 /// invocation-cache entry belongs to. The final save after the execute
 /// stage uses [`BOUNDARY_EXECUTE`] and writes no stage file — compression
@@ -69,8 +72,8 @@ fn io_err(what: &str, e: io::Error) -> Error {
     Error::unsupported(format!("{what}: {e}"))
 }
 
-fn malformed(what: &str) -> Error {
-    Error::unsupported(format!("campaign checkpoint: malformed {what}"))
+fn malformed(e: String) -> Error {
+    Error::unsupported(format!("campaign checkpoint: malformed {e}"))
 }
 
 // ---------------------------------------------------------------------
@@ -104,249 +107,98 @@ impl CampaignParams {
             ..GenConfig::default()
         }
     }
-
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("rules", Json::count(self.rules as u64)),
-            ("k", Json::count(self.k as u64)),
-            ("seed", Json::count(self.seed)),
-            ("pad_ops", Json::count(self.pad_ops as u64)),
-            ("max_trials", Json::count(self.max_trials as u64)),
-        ])
-    }
 }
+
+codec!(struct CampaignParams {
+    rules: "rules",
+    k: "k",
+    seed: "seed",
+    pad_ops: "pad_ops",
+    max_trials: "max_trials",
+});
 
 // ---------------------------------------------------------------------
-// Suite / graph serialization. Floats are hex bit patterns
-// (`Json::f64_bits`) for the same reason as in the optimizer snapshot:
-// costs must survive bit-exactly.
+// Suite / graph wire forms. Floats travel as hex bit patterns, for the
+// same reason as in the optimizer snapshot: costs must survive
+// bit-exactly.
 
-fn f64_unhex(j: &Json, what: &str) -> Result<f64> {
-    j.as_f64_bits().ok_or_else(|| malformed(what))
-}
-
-fn usize_from(j: &Json, what: &str) -> Result<usize> {
-    j.as_u64()
-        .and_then(|v| usize::try_from(v).ok())
-        .ok_or_else(|| malformed(what))
-}
-
-fn rule_id_from(j: &Json, what: &str) -> Result<RuleId> {
-    j.as_u64()
-        .and_then(|v| u16::try_from(v).ok())
-        .map(RuleId)
-        .ok_or_else(|| malformed(what))
-}
-
-fn target_to_json(t: &RuleTarget) -> Json {
-    match t {
-        RuleTarget::Single(r) => Json::obj(vec![("s", Json::count(u64::from(r.0)))]),
-        RuleTarget::Pair(a, b) => Json::obj(vec![(
-            "p",
-            Json::Arr(vec![
-                Json::count(u64::from(a.0)),
-                Json::count(u64::from(b.0)),
-            ]),
-        )]),
+/// `{"s": id}` for a single rule, `{"p": [a, b]}` for a pair.
+impl Codec for RuleTarget {
+    fn enc(&self) -> Json {
+        match *self {
+            RuleTarget::Single(r) => Json::obj(vec![("s", r.enc())]),
+            RuleTarget::Pair(a, b) => Json::obj(vec![("p", (a, b).enc())]),
+        }
+    }
+    fn dec(j: &Json) -> std::result::Result<Self, String> {
+        if j.get("s").is_some() {
+            field(j, "s").map(RuleTarget::Single)
+        } else {
+            field(j, "p").map(|(a, b)| RuleTarget::Pair(a, b))
+        }
     }
 }
 
-fn target_from_json(j: &Json) -> Result<RuleTarget> {
-    if let Some(s) = j.get("s") {
-        return Ok(RuleTarget::Single(rule_id_from(s, "target")?));
+codec!(struct SuiteQuery {
+    tree: "tree",
+    sql: "sql",
+    rule_set: "rule_set",
+    cost: "cost",
+    generated_for: "generated_for",
+});
+codec!(struct TestSuite { targets: "targets", k: "k", seed: "seed", queries: "queries" });
+
+/// One graph edge `(target, query) -> Cost(q, ¬R)` on the wire.
+struct Edge {
+    t: usize,
+    q: usize,
+    c: f64,
+}
+
+codec!(struct Edge { t: "t", q: "q", c: "c" });
+
+/// Edges are written sorted by `(target, query)` so the checkpoint bytes
+/// are deterministic.
+impl Codec for BipartiteGraph {
+    fn enc(&self) -> Json {
+        let mut edges: Vec<Edge> = self
+            .edges
+            .iter()
+            .map(|(&(t, q), &c)| Edge { t, q, c })
+            .collect();
+        edges.sort_by_key(|e| (e.t, e.q));
+        Json::obj(vec![
+            ("targets", self.targets.enc()),
+            ("k", self.k.enc()),
+            ("node_cost", self.node_cost.enc()),
+            ("adjacency", self.adjacency.enc()),
+            ("edges", edges.enc()),
+            ("generated_for", self.generated_for.enc()),
+            ("optimizer_calls", self.optimizer_calls.enc()),
+        ])
     }
-    if let Some([a, b]) = j.get("p").and_then(Json::as_arr) {
-        return Ok(RuleTarget::Pair(
-            rule_id_from(a, "target")?,
-            rule_id_from(b, "target")?,
-        ));
+    fn dec(j: &Json) -> std::result::Result<Self, String> {
+        let edges: Vec<Edge> = field(j, "edges")?;
+        Ok(BipartiteGraph {
+            targets: field(j, "targets")?,
+            k: field(j, "k")?,
+            node_cost: field(j, "node_cost")?,
+            adjacency: field(j, "adjacency")?,
+            edges: edges.into_iter().map(|e| ((e.t, e.q), e.c)).collect(),
+            generated_for: field(j, "generated_for")?,
+            optimizer_calls: field(j, "optimizer_calls")?,
+        })
     }
-    Err(malformed("target"))
-}
-
-fn targets_to_json(targets: &[RuleTarget]) -> Json {
-    Json::Arr(targets.iter().map(target_to_json).collect())
-}
-
-fn targets_from_json(j: &Json, what: &str) -> Result<Vec<RuleTarget>> {
-    j.as_arr()
-        .ok_or_else(|| malformed(what))?
-        .iter()
-        .map(target_from_json)
-        .collect()
-}
-
-fn get<'a>(j: &'a Json, field: &str) -> Result<&'a Json> {
-    j.get(field).ok_or_else(|| malformed(field))
 }
 
 /// Serializes a generated test suite for the `suite` checkpoint.
 pub fn suite_to_json(suite: &TestSuite) -> Json {
-    let queries = suite
-        .queries
-        .iter()
-        .map(|q| {
-            Json::obj(vec![
-                ("tree", tree_to_json(&q.tree)),
-                ("sql", Json::str(q.sql.clone())),
-                (
-                    "rule_set",
-                    Json::Arr(
-                        q.rule_set
-                            .iter()
-                            .map(|r| Json::count(u64::from(r.0)))
-                            .collect(),
-                    ),
-                ),
-                ("cost", Json::f64_bits(q.cost)),
-                ("generated_for", Json::count(q.generated_for as u64)),
-            ])
-        })
-        .collect();
-    Json::obj(vec![
-        ("targets", targets_to_json(&suite.targets)),
-        ("k", Json::count(suite.k as u64)),
-        ("seed", Json::count(suite.seed)),
-        ("queries", Json::Arr(queries)),
-    ])
+    suite.enc()
 }
 
-/// Inverse of [`suite_to_json`].
-pub fn suite_from_json(j: &Json) -> Result<TestSuite> {
-    let queries = get(j, "queries")?
-        .as_arr()
-        .ok_or_else(|| malformed("queries"))?
-        .iter()
-        .map(|q| {
-            let rule_set: BTreeSet<RuleId> = get(q, "rule_set")?
-                .as_arr()
-                .ok_or_else(|| malformed("rule_set"))?
-                .iter()
-                .map(|r| rule_id_from(r, "rule_set"))
-                .collect::<Result<_>>()?;
-            Ok(SuiteQuery {
-                tree: tree_from_json(get(q, "tree")?).map_err(Error::unsupported)?,
-                sql: get(q, "sql")?
-                    .as_str()
-                    .ok_or_else(|| malformed("sql"))?
-                    .to_string(),
-                rule_set,
-                cost: f64_unhex(get(q, "cost")?, "cost")?,
-                generated_for: usize_from(get(q, "generated_for")?, "generated_for")?,
-            })
-        })
-        .collect::<Result<Vec<_>>>()?;
-    Ok(TestSuite {
-        targets: targets_from_json(get(j, "targets")?, "targets")?,
-        k: usize_from(get(j, "k")?, "k")?,
-        queries,
-        seed: get(j, "seed")?.as_u64().ok_or_else(|| malformed("seed"))?,
-    })
-}
-
-/// Serializes a bipartite graph for the `graph` checkpoint. Edges are
-/// written sorted by `(target, query)` so the checkpoint bytes are
-/// deterministic.
+/// Serializes a bipartite graph for the `graph` checkpoint.
 pub fn graph_to_json(graph: &BipartiteGraph) -> Json {
-    let mut edges: Vec<(&(usize, usize), &f64)> = graph.edges.iter().collect();
-    edges.sort_by_key(|(k, _)| **k);
-    Json::obj(vec![
-        ("targets", targets_to_json(&graph.targets)),
-        ("k", Json::count(graph.k as u64)),
-        (
-            "node_cost",
-            Json::Arr(graph.node_cost.iter().map(|&c| Json::f64_bits(c)).collect()),
-        ),
-        (
-            "adjacency",
-            Json::Arr(
-                graph
-                    .adjacency
-                    .iter()
-                    .map(|adj| Json::Arr(adj.iter().map(|&q| Json::count(q as u64)).collect()))
-                    .collect(),
-            ),
-        ),
-        (
-            "edges",
-            Json::Arr(
-                edges
-                    .into_iter()
-                    .map(|(&(t, q), &c)| {
-                        Json::obj(vec![
-                            ("t", Json::count(t as u64)),
-                            ("q", Json::count(q as u64)),
-                            ("c", Json::f64_bits(c)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "generated_for",
-            Json::Arr(
-                graph
-                    .generated_for
-                    .iter()
-                    .map(|&g| Json::count(g as u64))
-                    .collect(),
-            ),
-        ),
-        ("optimizer_calls", Json::count(graph.optimizer_calls)),
-    ])
-}
-
-/// Inverse of [`graph_to_json`].
-pub fn graph_from_json(j: &Json) -> Result<BipartiteGraph> {
-    let node_cost = get(j, "node_cost")?
-        .as_arr()
-        .ok_or_else(|| malformed("node_cost"))?
-        .iter()
-        .map(|c| f64_unhex(c, "node_cost"))
-        .collect::<Result<Vec<_>>>()?;
-    let adjacency = get(j, "adjacency")?
-        .as_arr()
-        .ok_or_else(|| malformed("adjacency"))?
-        .iter()
-        .map(|adj| {
-            adj.as_arr()
-                .ok_or_else(|| malformed("adjacency"))?
-                .iter()
-                .map(|q| usize_from(q, "adjacency"))
-                .collect::<Result<Vec<_>>>()
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let edges = get(j, "edges")?
-        .as_arr()
-        .ok_or_else(|| malformed("edges"))?
-        .iter()
-        .map(|e| {
-            Ok((
-                (
-                    usize_from(get(e, "t")?, "edge target")?,
-                    usize_from(get(e, "q")?, "edge query")?,
-                ),
-                f64_unhex(get(e, "c")?, "edge cost")?,
-            ))
-        })
-        .collect::<Result<HashMap<_, _>>>()?;
-    let generated_for = get(j, "generated_for")?
-        .as_arr()
-        .ok_or_else(|| malformed("generated_for"))?
-        .iter()
-        .map(|g| usize_from(g, "generated_for"))
-        .collect::<Result<Vec<_>>>()?;
-    Ok(BipartiteGraph {
-        targets: targets_from_json(get(j, "targets")?, "targets")?,
-        k: usize_from(get(j, "k")?, "k")?,
-        node_cost,
-        adjacency,
-        edges,
-        generated_for,
-        optimizer_calls: get(j, "optimizer_calls")?
-            .as_u64()
-            .ok_or_else(|| malformed("optimizer_calls"))?,
-    })
+    graph.enc()
 }
 
 // ---------------------------------------------------------------------
@@ -359,7 +211,7 @@ pub fn graph_from_json(j: &Json) -> Result<BipartiteGraph> {
 pub struct CampaignStore {
     dir: PathBuf,
     fingerprint: String,
-    params: String,
+    params: Json,
     metrics: bool,
 }
 
@@ -382,13 +234,46 @@ impl CampaignStore {
         Ok(CampaignStore {
             dir,
             fingerprint: format!("{fingerprint:016x}"),
-            params: params.to_json().to_string_compact(),
+            params: params.enc(),
             metrics,
         })
     }
 
-    fn stage_path(&self, name: &str) -> PathBuf {
-        self.dir.join(format!("stage-{name}.json"))
+    /// Writes `members` plus the campaign identity (format version,
+    /// fingerprint, parameters) atomically as checkpoint file `file`.
+    fn write(&self, file: &str, mut members: Vec<(&str, Json)>) -> io::Result<()> {
+        members.extend([
+            ("format", CHECKPOINT_FORMAT.enc()),
+            ("fingerprint", self.fingerprint.enc()),
+            ("params", self.params.clone()),
+        ]);
+        write_atomic(&self.dir.join(file), Json::obj(members).to_string_compact())
+    }
+
+    /// Reads checkpoint file `file` if it was written for this campaign:
+    /// `None` when it is absent, unreadable, or carries a different format
+    /// version, fingerprint, or parameter set — a stale checkpoint
+    /// silently falls back to recomputation, never to an error. A file
+    /// that exists but does not parse (truncated by a crash mid-write of a
+    /// non-atomic editor, disk corruption) is *warned about*, naming the
+    /// `fallback`, so the operator learns the resume was partial.
+    fn read(&self, file: &str, fallback: &str) -> Option<Json> {
+        let text = fs::read_to_string(self.dir.join(file)).ok()?;
+        let doc = match Json::parse(&text) {
+            Ok(doc) => doc,
+            Err(e) => {
+                eprintln!("warning: campaign checkpoint {file} is corrupted ({e}); {fallback}");
+                return None;
+            }
+        };
+        let ours = field(&doc, "format") == Ok(CHECKPOINT_FORMAT)
+            && doc.get("fingerprint").and_then(Json::as_str) == Some(&self.fingerprint)
+            && doc.get("params") == Some(&self.params);
+        ours.then_some(doc)
+    }
+
+    fn stage_file(name: &str) -> String {
+        format!("stage-{name}.json")
     }
 
     /// Writes the checkpoint for one completed stage atomically.
@@ -399,56 +284,25 @@ impl CampaignStore {
         payload: Json,
         report: &RunReport,
     ) -> io::Result<()> {
-        let params = Json::parse(&self.params).expect("params round-trip");
-        let doc = Json::obj(vec![
-            ("format", Json::count(CHECKPOINT_FORMAT)),
-            ("fingerprint", Json::str(self.fingerprint.clone())),
-            ("params", params),
-            ("metrics", Json::Bool(self.metrics)),
-            ("boundary", Json::count(boundary)),
+        let members = vec![
+            ("metrics", self.metrics.enc()),
+            ("boundary", boundary.enc()),
             ("payload", payload),
             ("report", report.to_json()),
-        ]);
-        write_atomic(&self.stage_path(name), doc.to_string_compact())
+        ];
+        self.write(&Self::stage_file(name), members)
     }
 
-    /// Loads a stage checkpoint, or `None` when it is absent, unreadable,
-    /// or was written by a different format version, fingerprint, or
-    /// parameter set — a stale checkpoint silently falls back to
-    /// recomputation, never to an error. A file that exists but does not
-    /// parse (truncated by a crash mid-write of a non-atomic editor, disk
-    /// corruption) is *warned about* before the cold-start fallback, so
-    /// the operator learns the resume was partial.
+    /// Loads a stage checkpoint, or `None` when it is absent, corrupted,
+    /// or stale, or was written with telemetry switched the other way.
     pub fn load_stage(&self, name: &str) -> Option<(u64, Json, RunReport)> {
-        let text = fs::read_to_string(self.stage_path(name)).ok()?;
-        let doc = match Json::parse(&text) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!(
-                    "warning: campaign checkpoint stage-{name}.json is corrupted ({e}); recomputing the stage"
-                );
-                return None;
-            }
-        };
-        if doc.get("format")?.as_u64()? != CHECKPOINT_FORMAT {
+        let doc = self.read(&Self::stage_file(name), "recomputing the stage")?;
+        if field(&doc, "metrics") != Ok(self.metrics) {
             return None;
         }
-        if doc.get("fingerprint")?.as_str()? != self.fingerprint {
-            return None;
-        }
-        if doc.get("params")?.to_string_compact() != self.params {
-            return None;
-        }
-        if doc.get("metrics")?.as_bool()? != self.metrics {
-            return None;
-        }
-        let boundary = doc.get("boundary")?.as_u64()?;
+        let boundary = field(&doc, "boundary").ok()?;
         let report = RunReport::from_json_value(doc.get("report")?).ok()?;
         Some((boundary, doc.get("payload")?.clone(), report))
-    }
-
-    fn quarantine_path(&self) -> PathBuf {
-        self.dir.join("quarantine.json")
     }
 
     /// Persists the campaign's quarantine atomically, guarded by the same
@@ -457,43 +311,15 @@ impl CampaignStore {
     /// Telemetry on/off is deliberately *not* part of the identity: the
     /// quarantine records poisoned inputs, not counted work.
     pub fn save_quarantine(&self, quarantine: &Quarantine) -> io::Result<()> {
-        let params = Json::parse(&self.params).expect("params round-trip");
-        let doc = Json::obj(vec![
-            ("format", Json::count(CHECKPOINT_FORMAT)),
-            ("fingerprint", Json::str(self.fingerprint.clone())),
-            ("params", params),
-            ("quarantine", quarantine.to_json()),
-        ]);
-        write_atomic(&self.quarantine_path(), doc.to_string_compact())
+        self.write(QUARANTINE_FILE, vec![("quarantine", quarantine.enc())])
     }
 
     /// Loads the persisted quarantine; absent, unreadable, or mismatched
     /// files yield an empty quarantine (same soft-fail contract as
     /// [`CampaignStore::load_stage`], with the same corruption warning).
     pub fn load_quarantine(&self) -> Quarantine {
-        let Ok(text) = fs::read_to_string(self.quarantine_path()) else {
-            return Quarantine::new();
-        };
-        let doc = match Json::parse(&text) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!(
-                    "warning: campaign quarantine.json is corrupted ({e}); starting with an empty quarantine"
-                );
-                return Quarantine::new();
-            }
-        };
-        let valid = doc.get("format").and_then(Json::as_u64) == Some(CHECKPOINT_FORMAT)
-            && doc.get("fingerprint").and_then(Json::as_str) == Some(self.fingerprint.as_str())
-            && doc
-                .get("params")
-                .map(|p| p.to_string_compact() == self.params)
-                .unwrap_or(false);
-        if !valid {
-            return Quarantine::new();
-        }
-        doc.get("quarantine")
-            .and_then(|q| Quarantine::from_json(q).ok())
+        self.read(QUARANTINE_FILE, "starting with an empty quarantine")
+            .and_then(|doc| field(&doc, "quarantine").ok())
             .unwrap_or_default()
     }
 
@@ -501,12 +327,12 @@ impl CampaignStore {
     /// must not leave a previous campaign's checkpoints behind for a
     /// later `--resume`).
     pub fn clear(&self) -> io::Result<()> {
-        for path in [
-            self.stage_path(STAGE_SUITE),
-            self.stage_path(STAGE_GRAPH),
-            self.quarantine_path(),
+        for file in [
+            Self::stage_file(STAGE_SUITE),
+            Self::stage_file(STAGE_GRAPH),
+            QUARANTINE_FILE.to_string(),
         ] {
-            match fs::remove_file(&path) {
+            match fs::remove_file(self.dir.join(file)) {
                 Ok(()) => {}
                 Err(e) if e.kind() == io::ErrorKind::NotFound => {}
                 Err(e) => return Err(e),
@@ -645,7 +471,7 @@ fn campaign_impl(
 
     // Stage 1: suite generation.
     let suite = match &suite_ck {
-        Some((_, payload, _)) => suite_from_json(payload)?,
+        Some((_, payload, _)) => TestSuite::dec(payload).map_err(malformed)?,
         None => {
             if let Some(s) = &store {
                 s.set_boundary(BOUNDARY_SUITE);
@@ -658,7 +484,7 @@ fn campaign_impl(
                 &params.gen_config(),
                 quarantine.as_deref_mut(),
             )?;
-            let payload = suite_to_json(&suite);
+            let payload = suite.enc();
             let q = quarantine.as_deref();
             checkpoint(fw, &cstore, STAGE_SUITE, BOUNDARY_SUITE, payload, q)?;
             suite
@@ -674,18 +500,15 @@ fn campaign_impl(
     // the two must stay consistent on resume.
     let (suite, graph) = match &graph_ck {
         Some((_, payload, _)) => (
-            suite_from_json(get(payload, "suite")?)?,
-            graph_from_json(get(payload, "graph")?)?,
+            field(payload, "suite").map_err(malformed)?,
+            field(payload, "graph").map_err(malformed)?,
         ),
         None => {
             if let Some(s) = &store {
                 s.set_boundary(BOUNDARY_GRAPH);
             }
             let (suite, graph) = build_graph_with(fw, &suite, quarantine.as_deref_mut())?;
-            let payload = Json::obj(vec![
-                ("suite", suite_to_json(&suite)),
-                ("graph", graph_to_json(&graph)),
-            ]);
+            let payload = Json::obj(vec![("suite", suite.enc()), ("graph", graph.enc())]);
             let q = quarantine.as_deref();
             checkpoint(fw, &cstore, STAGE_GRAPH, BOUNDARY_GRAPH, payload, q)?;
             (suite, graph)

@@ -32,13 +32,11 @@
 
 use crate::framework::Framework;
 use crate::triage::{bundle::BUNDLE_VERSION, minimize, ReproBundle, TriageConfig};
-use ruletest_common::{
-    par_map, par_map_supervised, sandbox, Error, Failure, Fnv64, Result, RuleId,
-};
+use ruletest_common::{par_map, par_map_supervised, sandbox, Failure, Fnv64, Result, RuleId};
 use ruletest_executor::execute_with;
 use ruletest_logical::LogicalTree;
-use ruletest_optimizer::OptimizerConfig;
-use ruletest_telemetry::{Counter, Event, Json};
+use ruletest_optimizer::{codec, OptimizerConfig};
+use ruletest_telemetry::{Counter, Event};
 
 /// Supervision site labels (stable: they feed quarantine fingerprints).
 pub const SITE_SUITE: &str = "suite.generate";
@@ -134,73 +132,18 @@ impl Quarantine {
             self.add(e);
         }
     }
-
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![(
-            "entries",
-            Json::Arr(
-                self.entries
-                    .iter()
-                    .map(|e| {
-                        let mut fields = vec![
-                            ("fingerprint", Json::str(e.fingerprint.clone())),
-                            ("kind", Json::str(e.kind.clone())),
-                            ("site", Json::str(e.site.clone())),
-                            ("message", Json::str(e.message.clone())),
-                            ("label", Json::str(e.label.clone())),
-                        ];
-                        if let Some(sql) = &e.sql {
-                            fields.push(("sql", Json::str(sql.clone())));
-                        }
-                        fields.push((
-                            "rule_mask",
-                            Json::Arr(e.rule_mask.iter().map(Json::str).collect()),
-                        ));
-                        Json::obj(fields)
-                    })
-                    .collect(),
-            ),
-        )])
-    }
-
-    pub fn from_json(j: &Json) -> Result<Quarantine> {
-        let malformed = |what: &str| Error::unsupported(format!("quarantine: malformed {what}"));
-        let str_field = |e: &Json, name: &str| -> Result<String> {
-            e.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| malformed(name))
-        };
-        let mut out = Quarantine::new();
-        for e in j
-            .get("entries")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| malformed("entries"))?
-        {
-            let rule_mask = e
-                .get("rule_mask")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| malformed("rule_mask"))?
-                .iter()
-                .map(|r| {
-                    r.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| malformed("rule_mask"))
-                })
-                .collect::<Result<Vec<_>>>()?;
-            out.add(QuarantineEntry {
-                fingerprint: str_field(e, "fingerprint")?,
-                kind: str_field(e, "kind")?,
-                site: str_field(e, "site")?,
-                message: str_field(e, "message")?,
-                label: str_field(e, "label")?,
-                sql: e.get("sql").and_then(Json::as_str).map(str::to_string),
-                rule_mask,
-            });
-        }
-        Ok(out)
-    }
 }
+
+codec!(struct QuarantineEntry {
+    fingerprint: "fingerprint",
+    kind: "kind",
+    site: "site",
+    message: "message",
+    label: "label",
+    sql: "sql" if Some,
+    rule_mask: "rule_mask",
+});
+codec!(struct Quarantine { entries: "entries" });
 
 /// One [`fan_out`] item: its result, or the failure the panic sandbox
 /// caught.
@@ -413,6 +356,7 @@ mod tests {
     use crate::framework::FrameworkConfig;
     use crate::generate::{GenConfig, Strategy};
     use crate::suite::{build_graph_supervised, generate_suite_supervised};
+    use ruletest_optimizer::persist::Codec;
 
     #[test]
     fn fingerprints_are_stable_and_site_scoped() {
@@ -454,7 +398,7 @@ mod tests {
         assert!(q.contains_input(SITE_EXEC_PAIR, "A|SELECT 1"));
         assert!(!q.contains_input(SITE_EXEC_PAIR, "A|SELECT 2"));
 
-        let round = Quarantine::from_json(&q.to_json()).unwrap();
+        let round = Quarantine::dec(&q.enc()).unwrap();
         assert_eq!(round, q);
         // The optional sql field round-trips both present and absent.
         assert_eq!(round.entries()[0].sql.as_deref(), Some("SELECT 1"));

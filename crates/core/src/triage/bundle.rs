@@ -14,7 +14,8 @@
 use crate::mutate::{mutant_optimizer, Mutant};
 use ruletest_common::{diff_multisets, Error, Result, RuleId};
 use ruletest_executor::{execute_with, ExecConfig};
-use ruletest_optimizer::{Optimizer, OptimizerConfig};
+use ruletest_optimizer::persist::{field, Codec};
+use ruletest_optimizer::{codec, Optimizer, OptimizerConfig};
 use ruletest_sql::parse_sql;
 use ruletest_storage::{tpch_database, TpchConfig};
 use ruletest_telemetry::Json;
@@ -57,86 +58,27 @@ pub struct ReproBundle {
     pub masked_plan: String,
 }
 
-impl ReproBundle {
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("version", Json::count(self.version)),
-            ("target", Json::str(self.target_label.clone())),
-            (
-                "rule_mask",
-                Json::Arr(self.rule_mask.iter().map(Json::str).collect()),
-            ),
-        ];
-        if let Some(f) = &self.fault {
-            fields.push(("fault", Json::str(f.clone())));
-        }
-        fields.extend([
-            ("seed", Json::count(self.seed)),
-            ("db_seed", Json::count(self.db_seed)),
-            ("scale", Json::count(self.scale)),
-            ("sql", Json::str(self.sql.clone())),
-            ("ops", Json::count(self.ops)),
-            ("signature", Json::str(self.signature.clone())),
-            ("duplicates", Json::count(self.duplicates)),
-            ("diff_summary", Json::str(self.diff_summary.clone())),
-            ("base_plan", Json::str(self.base_plan.clone())),
-            ("masked_plan", Json::str(self.masked_plan.clone())),
-        ]);
-        Json::obj(fields)
-    }
-
-    pub fn from_json(j: &Json) -> std::result::Result<ReproBundle, String> {
-        let str_field = |name: &str| -> std::result::Result<String, String> {
-            j.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("bundle missing string field '{name}'"))
-        };
-        let num_field = |name: &str| -> std::result::Result<u64, String> {
-            j.get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("bundle missing numeric field '{name}'"))
-        };
-        let version = num_field("version")?;
-        if version != BUNDLE_VERSION {
-            return Err(format!(
-                "bundle version {version} unsupported (expected {BUNDLE_VERSION})"
-            ));
-        }
-        let rule_mask = j
-            .get("rule_mask")
-            .and_then(Json::as_arr)
-            .ok_or("bundle missing rule_mask")?
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| "non-string rule name".to_string())
-            })
-            .collect::<std::result::Result<Vec<_>, _>>()?;
-        Ok(ReproBundle {
-            version,
-            target_label: str_field("target")?,
-            rule_mask,
-            fault: j.get("fault").and_then(Json::as_str).map(str::to_string),
-            seed: num_field("seed")?,
-            db_seed: num_field("db_seed")?,
-            scale: num_field("scale")?,
-            sql: str_field("sql")?,
-            ops: num_field("ops")?,
-            signature: str_field("signature")?,
-            duplicates: num_field("duplicates")?,
-            diff_summary: str_field("diff_summary")?,
-            base_plan: str_field("base_plan")?,
-            masked_plan: str_field("masked_plan")?,
-        })
-    }
-}
+codec!(struct ReproBundle {
+    version: "version",
+    target_label: "target",
+    rule_mask: "rule_mask",
+    fault: "fault" if Some,
+    seed: "seed",
+    db_seed: "db_seed",
+    scale: "scale",
+    sql: "sql",
+    ops: "ops",
+    signature: "signature",
+    duplicates: "duplicates",
+    diff_summary: "diff_summary",
+    base_plan: "base_plan",
+    masked_plan: "masked_plan",
+});
 
 /// Writes bundles as JSONL, one per line.
 pub fn write_bundles<W: Write>(w: &mut W, bundles: &[ReproBundle]) -> std::io::Result<()> {
     for b in bundles {
-        writeln!(w, "{}", b.to_json().to_string_compact())?;
+        writeln!(w, "{}", b.enc().to_string_compact())?;
     }
     Ok(())
 }
@@ -149,8 +91,17 @@ pub fn read_bundles<R: BufRead>(r: R) -> std::result::Result<Vec<ReproBundle>, S
         if line.trim().is_empty() {
             continue;
         }
-        let j = Json::parse(&line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        out.push(ReproBundle::from_json(&j).map_err(|e| format!("line {}: {e}", i + 1))?);
+        let at_line = |e: String| format!("line {}: {e}", i + 1);
+        let j = Json::parse(&line).map_err(at_line)?;
+        // The version is checked first: a newer schema may differ in any
+        // other field.
+        let version: u64 = field(&j, "version").map_err(at_line)?;
+        if version != BUNDLE_VERSION {
+            return Err(at_line(format!(
+                "bundle version {version} unsupported (expected {BUNDLE_VERSION})"
+            )));
+        }
+        out.push(ReproBundle::dec(&j).map_err(at_line)?);
     }
     Ok(out)
 }
@@ -246,6 +197,17 @@ mod tests {
         assert_eq!(text.lines().count(), 2);
         let back = read_bundles(&buf[..]).unwrap();
         assert_eq!(back, bundles);
+    }
+
+    #[test]
+    fn seeds_beyond_2_pow_53_round_trip_exactly() {
+        let mut b = sample();
+        b.seed = (1 << 53) + 1;
+        b.db_seed = u64::MAX;
+        let mut buf = Vec::new();
+        write_bundles(&mut buf, std::slice::from_ref(&b)).unwrap();
+        assert!(String::from_utf8_lossy(&buf).contains("\"seed\":\"9007199254740993\""));
+        assert_eq!(read_bundles(&buf[..]).unwrap(), vec![b]);
     }
 
     #[test]

@@ -32,10 +32,12 @@ use crate::physical::{PhysOp, PhysicalPlan};
 use crate::rule::Rule;
 use ruletest_common::{ColId, DataType, Fnv64, RuleId, TableId, Value};
 use ruletest_expr::{AggCall, AggFunc, BinOp, Expr};
-use ruletest_logical::{ColumnInfo, JoinKind, LogicalTree, Operator, Schema, SortKey};
+use ruletest_logical::{ColumnInfo, JoinKind, LogicalTree, Operator, SortKey};
 use ruletest_storage::Catalog;
-use ruletest_telemetry::{Json, ProfileSample};
-use std::collections::HashMap;
+/// The wire value every [`Codec`] reads and writes.
+pub use ruletest_telemetry::Json;
+use ruletest_telemetry::ProfileSample;
+use std::collections::{BTreeSet, HashMap};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,7 +69,7 @@ pub fn campaign_fingerprint<'a>(
         h.write_u64(u64::from(def.id.0)).write_str(&def.name);
         for col in &def.columns {
             h.write_str(&col.name)
-                .write_str(data_type_name(col.data_type))
+                .write_str(col.data_type.enc().as_str().expect("a type name"))
                 .write_u64(u64::from(col.nullable));
         }
         for &pk in &def.primary_key {
@@ -85,742 +87,409 @@ pub fn campaign_fingerprint<'a>(
 }
 
 // ---------------------------------------------------------------------
-// JSON serializers. Canonical: `Json::Obj` is a BTreeMap, so
-// `to_string_compact` yields sorted keys and a stable byte form.
+// The wire codec. Each persisted type states its JSON form once, as a
+// [`Codec`] impl, and encoding and decoding both follow from it.
+// Canonical: `Json::Obj` is a BTreeMap, so `to_string_compact` yields
+// sorted keys and a stable byte form.
 
-fn err(what: &str) -> String {
-    format!("cache snapshot: malformed {what}")
+/// One JSON wire form per type: `T::dec(&x.enc())` reproduces `x`
+/// exactly, and equal values encode to equal bytes.
+///
+/// Structs and `op`-tagged enums state their form as a `field: "key"`
+/// listing through [`codec!`](crate::codec); field-less enums as one
+/// name table. A `u64` above 2^53 is written as a decimal string (a JSON
+/// number is an `f64` and would round it); smaller values stay numbers.
+pub trait Codec: Sized {
+    fn enc(&self) -> Json;
+    fn dec(j: &Json) -> Result<Self, String>;
 }
 
-fn u64_field(j: &Json, field: &str) -> Result<u64, String> {
-    j.get(field)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| err(field))
+static NULL: Json = Json::Null;
+
+/// Decodes member `name` of object `j`. An absent member decodes as
+/// `null`, so an `Option` member may be written as `null` or omitted,
+/// and any other type reports it missing. Errors carry the member path.
+pub fn field<T: Codec>(j: &Json, name: &str) -> Result<T, String> {
+    T::dec(j.get(name).unwrap_or(&NULL)).map_err(|e| format!("{name}: {e}"))
 }
 
-fn str_field<'a>(j: &'a Json, field: &str) -> Result<&'a str, String> {
-    j.get(field)
-        .and_then(Json::as_str)
-        .ok_or_else(|| err(field))
+/// States the wire form of a struct or of an enum tagged by one member.
+///
+/// ```ignore
+/// codec!(struct SortKey { col: "col", descending: "desc" });
+/// codec!(struct Entry { sql: "sql" if Some, .. }); // omit `None`, not `null`
+/// codec!(enum Operator as "op" { Distinct "distinct" {}, Top "top" { n: "n", .. }, .. });
+/// ```
+#[macro_export]
+macro_rules! codec {
+    (struct $ty:ident { $($f:ident: $k:literal $(if $some:ident)?),* $(,)? }) => {
+        impl $crate::persist::Codec for $ty {
+            fn enc(&self) -> $crate::persist::Json {
+                let mut members = ::std::collections::BTreeMap::new();
+                $($crate::codec!(@put members, $k, &self.$f $(, $some)?);)*
+                $crate::persist::Json::Obj(members)
+            }
+            fn dec(j: &$crate::persist::Json) -> ::std::result::Result<Self, ::std::string::String> {
+                Ok($ty { $($f: $crate::persist::field(j, $k)?),* })
+            }
+        }
+    };
+    (enum $ty:ident as $tag:literal {
+        $($v:ident $name:literal { $($f:ident: $k:literal),* $(,)? }),* $(,)?
+    }) => {
+        impl $crate::persist::Codec for $ty {
+            fn enc(&self) -> $crate::persist::Json {
+                let mut members = ::std::collections::BTreeMap::new();
+                match self {
+                    $($ty::$v { $($f),* } => {
+                        members.insert($tag.to_string(), $crate::persist::Json::str($name));
+                        $($crate::codec!(@put members, $k, $f);)*
+                    })*
+                }
+                $crate::persist::Json::Obj(members)
+            }
+            fn dec(j: &$crate::persist::Json) -> ::std::result::Result<Self, ::std::string::String> {
+                match j.get($tag).and_then($crate::persist::Json::as_str) {
+                    $(Some($name) => Ok($ty::$v { $($f: $crate::persist::field(j, $k)?),* }),)*
+                    _ => Err(format!("{}: unknown {}", $tag, stringify!($ty))),
+                }
+            }
+        }
+    };
+    (@put $members:ident, $k:literal, $v:expr) => {
+        $members.insert($k.to_string(), $crate::persist::Codec::enc($v))
+    };
+    (@put $members:ident, $k:literal, $v:expr, Some) => {
+        if let Some(v) = $v {
+            $members.insert($k.to_string(), $crate::persist::Codec::enc(v));
+        }
+    };
 }
 
-fn arr_field<'a>(j: &'a Json, field: &str) -> Result<&'a [Json], String> {
-    j.get(field)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| err(field))
-}
+/// Largest `u64` a JSON number (an `f64`) holds exactly.
+const EXACT_U64: u64 = 1 << 53;
 
-fn f64_field(j: &Json, field: &str) -> Result<f64, String> {
-    j.get(field)
-        .and_then(Json::as_f64_bits)
-        .ok_or_else(|| err(field))
-}
-
-fn col_list(cols: &[ColId]) -> Json {
-    Json::Arr(cols.iter().map(|c| Json::count(u64::from(c.0))).collect())
-}
-
-fn cols_from(j: &Json, field: &str) -> Result<Vec<ColId>, String> {
-    arr_field(j, field)?
-        .iter()
-        .map(|c| {
-            c.as_u64()
-                .and_then(|v| u32::try_from(v).ok())
-                .map(ColId)
-                .ok_or_else(|| err(field))
-        })
-        .collect()
-}
-
-fn value_to_json(v: &Value) -> Json {
-    match v {
-        Value::Null => Json::Null,
-        Value::Bool(b) => Json::Bool(*b),
-        // i64 exceeds 2^53: decimal string keeps it exact.
-        Value::Int(i) => Json::obj(vec![("int", Json::str(i.to_string()))]),
-        Value::Str(s) => Json::obj(vec![("str", Json::str(s.clone()))]),
+impl Codec for u64 {
+    fn enc(&self) -> Json {
+        if *self <= EXACT_U64 {
+            Json::count(*self)
+        } else {
+            Json::str(self.to_string())
+        }
+    }
+    fn dec(j: &Json) -> Result<Self, String> {
+        match j {
+            Json::Str(s) => s.parse().ok(),
+            _ => j.as_u64(),
+        }
+        .ok_or_else(|| "expected an unsigned integer".to_string())
     }
 }
 
-fn value_from_json(j: &Json) -> Result<Value, String> {
-    match j {
-        Json::Null => Ok(Value::Null),
-        Json::Bool(b) => Ok(Value::Bool(*b)),
-        _ => {
-            if let Some(s) = j.get("int").and_then(Json::as_str) {
-                s.parse().map(Value::Int).map_err(|_| err("int value"))
-            } else if let Some(s) = j.get("str").and_then(Json::as_str) {
-                Ok(Value::Str(s.to_string()))
-            } else {
-                Err(err("value"))
-            }
+impl Codec for usize {
+    fn enc(&self) -> Json {
+        (*self as u64).enc()
+    }
+    fn dec(j: &Json) -> Result<Self, String> {
+        usize::try_from(u64::dec(j)?).map_err(|e| e.to_string())
+    }
+}
+
+impl Codec for bool {
+    fn enc(&self) -> Json {
+        Json::Bool(*self)
+    }
+    fn dec(j: &Json) -> Result<Self, String> {
+        j.as_bool().ok_or_else(|| "expected a bool".to_string())
+    }
+}
+
+impl Codec for String {
+    fn enc(&self) -> Json {
+        Json::str(self.clone())
+    }
+    fn dec(j: &Json) -> Result<Self, String> {
+        j.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| "expected a string".to_string())
+    }
+}
+
+/// Floats travel as the hex digits of their bit pattern: costs must
+/// compare bit-identical across processes, and decimal text may not.
+impl Codec for f64 {
+    fn enc(&self) -> Json {
+        Json::f64_bits(*self)
+    }
+    fn dec(j: &Json) -> Result<Self, String> {
+        j.as_f64_bits()
+            .ok_or_else(|| "expected hex float bits".to_string())
+    }
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    fn enc(&self) -> Json {
+        Json::Arr(self.iter().map(T::enc).collect())
+    }
+    fn dec(j: &Json) -> Result<Self, String> {
+        j.as_arr()
+            .ok_or_else(|| "expected an array".to_string())?
+            .iter()
+            .map(T::dec)
+            .collect()
+    }
+}
+
+impl<T: Codec + Ord> Codec for BTreeSet<T> {
+    fn enc(&self) -> Json {
+        Json::Arr(self.iter().map(T::enc).collect())
+    }
+    fn dec(j: &Json) -> Result<Self, String> {
+        Ok(Vec::<T>::dec(j)?.into_iter().collect())
+    }
+}
+
+impl<T: Codec> Codec for Option<T> {
+    fn enc(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::enc)
+    }
+    fn dec(j: &Json) -> Result<Self, String> {
+        match j {
+            Json::Null => Ok(None),
+            _ => T::dec(j).map(Some),
         }
     }
 }
 
-fn binop_name(op: BinOp) -> &'static str {
-    match op {
-        BinOp::Eq => "eq",
-        BinOp::Ne => "ne",
-        BinOp::Lt => "lt",
-        BinOp::Le => "le",
-        BinOp::Gt => "gt",
-        BinOp::Ge => "ge",
-        BinOp::Add => "add",
-        BinOp::Sub => "sub",
-        BinOp::Mul => "mul",
-        BinOp::And => "and",
-        BinOp::Or => "or",
-    }
+macro_rules! id_codec {
+    ($($ty:ident($inner:ty)),*) => {$(
+        impl Codec for $ty {
+            fn enc(&self) -> Json {
+                Json::count(u64::from(self.0))
+            }
+            fn dec(j: &Json) -> Result<Self, String> {
+                j.as_u64()
+                    .and_then(|v| <$inner>::try_from(v).ok())
+                    .map($ty)
+                    .ok_or_else(|| concat!("expected a ", stringify!($ty)).to_string())
+            }
+        }
+    )*};
 }
 
-fn binop_from(name: &str) -> Result<BinOp, String> {
-    Ok(match name {
-        "eq" => BinOp::Eq,
-        "ne" => BinOp::Ne,
-        "lt" => BinOp::Lt,
-        "le" => BinOp::Le,
-        "gt" => BinOp::Gt,
-        "ge" => BinOp::Ge,
-        "add" => BinOp::Add,
-        "sub" => BinOp::Sub,
-        "mul" => BinOp::Mul,
-        "and" => BinOp::And,
-        "or" => BinOp::Or,
-        _ => return Err(err("binary operator")),
-    })
-}
+id_codec!(ColId(u32), TableId(u32), RuleId(u16));
 
-fn expr_to_json(e: &Expr) -> Json {
-    match e {
-        Expr::Col(c) => Json::obj(vec![("col", Json::count(u64::from(c.0)))]),
-        Expr::Lit(v) => Json::obj(vec![("lit", value_to_json(v))]),
-        Expr::Bin { op, left, right } => Json::obj(vec![
-            ("bin", Json::str(binop_name(*op))),
-            ("l", expr_to_json(left)),
-            ("r", expr_to_json(right)),
-        ]),
-        Expr::Not(x) => Json::obj(vec![("not", expr_to_json(x))]),
-        Expr::IsNull(x) => Json::obj(vec![("is_null", expr_to_json(x))]),
-    }
-}
-
-fn expr_from_json(j: &Json) -> Result<Expr, String> {
-    if let Some(c) = j.get("col") {
-        let id = c
-            .as_u64()
-            .and_then(|v| u32::try_from(v).ok())
-            .ok_or_else(|| err("column reference"))?;
-        Ok(Expr::Col(ColId(id)))
-    } else if let Some(v) = j.get("lit") {
-        Ok(Expr::Lit(value_from_json(v)?))
-    } else if let Some(op) = j.get("bin").and_then(Json::as_str) {
-        Ok(Expr::bin(
-            binop_from(op)?,
-            expr_from_json(j.get("l").ok_or_else(|| err("bin.l"))?)?,
-            expr_from_json(j.get("r").ok_or_else(|| err("bin.r"))?)?,
-        ))
-    } else if let Some(x) = j.get("not") {
-        Ok(Expr::not(expr_from_json(x)?))
-    } else if let Some(x) = j.get("is_null") {
-        Ok(Expr::is_null(expr_from_json(x)?))
-    } else {
-        Err(err("expression"))
-    }
-}
-
-fn sort_keys_to_json(keys: &[SortKey]) -> Json {
-    Json::Arr(
-        keys.iter()
-            .map(|k| {
-                Json::obj(vec![
-                    ("col", Json::count(u64::from(k.col.0))),
-                    ("desc", Json::Bool(k.descending)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn sort_keys_from(j: &Json, field: &str) -> Result<Vec<SortKey>, String> {
-    arr_field(j, field)?
-        .iter()
-        .map(|k| {
-            let col = u64_field(k, "col")
-                .and_then(|v| u32::try_from(v).map_err(|_| err("sort column")))?;
-            let descending = k
-                .get("desc")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| err("sort direction"))?;
-            Ok(SortKey {
-                col: ColId(col),
-                descending,
-            })
-        })
-        .collect()
-}
-
-fn agg_func_name(f: AggFunc) -> &'static str {
-    match f {
-        AggFunc::CountStar => "count_star",
-        AggFunc::Count => "count",
-        AggFunc::Sum => "sum",
-        AggFunc::Min => "min",
-        AggFunc::Max => "max",
-    }
-}
-
-fn agg_func_from(name: &str) -> Result<AggFunc, String> {
-    Ok(match name {
-        "count_star" => AggFunc::CountStar,
-        "count" => AggFunc::Count,
-        "sum" => AggFunc::Sum,
-        "min" => AggFunc::Min,
-        "max" => AggFunc::Max,
-        _ => return Err(err("aggregate function")),
-    })
-}
-
-fn aggs_to_json(aggs: &[AggCall]) -> Json {
-    Json::Arr(
-        aggs.iter()
-            .map(|a| {
-                Json::obj(vec![
-                    ("func", Json::str(agg_func_name(a.func))),
-                    (
-                        "arg",
-                        a.arg.map_or(Json::Null, |c| Json::count(u64::from(c.0))),
-                    ),
-                    ("out", Json::count(u64::from(a.output.0))),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn aggs_from(j: &Json, field: &str) -> Result<Vec<AggCall>, String> {
-    arr_field(j, field)?
-        .iter()
-        .map(|a| {
-            let func = agg_func_from(str_field(a, "func")?)?;
-            let arg = match a.get("arg") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(ColId(
-                    v.as_u64()
-                        .and_then(|n| u32::try_from(n).ok())
-                        .ok_or_else(|| err("aggregate argument"))?,
-                )),
-            };
-            let output = ColId(
-                u64_field(a, "out")
-                    .and_then(|v| u32::try_from(v).map_err(|_| err("aggregate output")))?,
-            );
-            Ok(AggCall { func, arg, output })
-        })
-        .collect()
-}
-
-fn join_kind_name(k: JoinKind) -> &'static str {
-    match k {
-        JoinKind::Inner => "inner",
-        JoinKind::LeftOuter => "left_outer",
-        JoinKind::RightOuter => "right_outer",
-        JoinKind::FullOuter => "full_outer",
-        JoinKind::LeftSemi => "left_semi",
-        JoinKind::LeftAnti => "left_anti",
-    }
-}
-
-fn join_kind_from(name: &str) -> Result<JoinKind, String> {
-    Ok(match name {
-        "inner" => JoinKind::Inner,
-        "left_outer" => JoinKind::LeftOuter,
-        "right_outer" => JoinKind::RightOuter,
-        "full_outer" => JoinKind::FullOuter,
-        "left_semi" => JoinKind::LeftSemi,
-        "left_anti" => JoinKind::LeftAnti,
-        _ => return Err(err("join kind")),
-    })
-}
-
-fn operator_to_json(op: &Operator) -> Json {
-    match op {
-        Operator::Get { table, cols } => Json::obj(vec![
-            ("op", Json::str("get")),
-            ("table", Json::count(u64::from(table.0))),
-            ("cols", col_list(cols)),
-        ]),
-        Operator::Select { predicate } => Json::obj(vec![
-            ("op", Json::str("select")),
-            ("pred", expr_to_json(predicate)),
-        ]),
-        Operator::Project { outputs } => Json::obj(vec![
-            ("op", Json::str("project")),
-            (
-                "outputs",
-                Json::Arr(
-                    outputs
-                        .iter()
-                        .map(|(c, e)| {
-                            Json::obj(vec![
-                                ("col", Json::count(u64::from(c.0))),
-                                ("expr", expr_to_json(e)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
-        Operator::Join { kind, predicate } => Json::obj(vec![
-            ("op", Json::str("join")),
-            ("kind", Json::str(join_kind_name(*kind))),
-            ("pred", expr_to_json(predicate)),
-        ]),
-        Operator::GbAgg { group_by, aggs } => Json::obj(vec![
-            ("op", Json::str("gbagg")),
-            ("group_by", col_list(group_by)),
-            ("aggs", aggs_to_json(aggs)),
-        ]),
-        Operator::UnionAll {
-            outputs,
-            left_cols,
-            right_cols,
-        } => Json::obj(vec![
-            ("op", Json::str("union_all")),
-            ("outputs", col_list(outputs)),
-            ("left_cols", col_list(left_cols)),
-            ("right_cols", col_list(right_cols)),
-        ]),
-        Operator::Distinct => Json::obj(vec![("op", Json::str("distinct"))]),
-        Operator::Sort { keys } => Json::obj(vec![
-            ("op", Json::str("sort")),
-            ("keys", sort_keys_to_json(keys)),
-        ]),
-        Operator::Top { n, keys } => Json::obj(vec![
-            ("op", Json::str("top")),
-            ("n", Json::count(*n)),
-            ("keys", sort_keys_to_json(keys)),
-        ]),
-    }
-}
-
-fn operator_from_json(j: &Json) -> Result<Operator, String> {
-    let projections = |field: &str| -> Result<Vec<(ColId, Expr)>, String> {
-        arr_field(j, field)?
-            .iter()
-            .map(|o| {
-                let col = u64_field(o, "col")
-                    .and_then(|v| u32::try_from(v).map_err(|_| err("projection column")))?;
-                let expr = expr_from_json(o.get("expr").ok_or_else(|| err("projection expr"))?)?;
-                Ok((ColId(col), expr))
-            })
-            .collect()
-    };
-    Ok(match str_field(j, "op")? {
-        "get" => Operator::Get {
-            table: TableId(
-                u64_field(j, "table")
-                    .and_then(|v| u32::try_from(v).map_err(|_| err("table id")))?,
-            ),
-            cols: cols_from(j, "cols")?,
-        },
-        "select" => Operator::Select {
-            predicate: expr_from_json(j.get("pred").ok_or_else(|| err("select predicate"))?)?,
-        },
-        "project" => Operator::Project {
-            outputs: projections("outputs")?,
-        },
-        "join" => Operator::Join {
-            kind: join_kind_from(str_field(j, "kind")?)?,
-            predicate: expr_from_json(j.get("pred").ok_or_else(|| err("join predicate"))?)?,
-        },
-        "gbagg" => Operator::GbAgg {
-            group_by: cols_from(j, "group_by")?,
-            aggs: aggs_from(j, "aggs")?,
-        },
-        "union_all" => Operator::UnionAll {
-            outputs: cols_from(j, "outputs")?,
-            left_cols: cols_from(j, "left_cols")?,
-            right_cols: cols_from(j, "right_cols")?,
-        },
-        "distinct" => Operator::Distinct,
-        "sort" => Operator::Sort {
-            keys: sort_keys_from(j, "keys")?,
-        },
-        "top" => Operator::Top {
-            n: u64_field(j, "n")?,
-            keys: sort_keys_from(j, "keys")?,
-        },
-        _ => return Err(err("operator tag")),
-    })
-}
-
-/// Serializes a logical tree exactly — column ids and all. SQL text is
-/// deliberately *not* used as the wire form: re-parsing renumbers column
-/// ids, and a key that round-trips inexactly would never match again.
-pub fn tree_to_json(tree: &LogicalTree) -> Json {
-    Json::obj(vec![
-        ("o", operator_to_json(&tree.op)),
-        (
-            "c",
-            Json::Arr(tree.children.iter().map(tree_to_json).collect()),
-        ),
-    ])
-}
-
-pub fn tree_from_json(j: &Json) -> Result<LogicalTree, String> {
-    let op = operator_from_json(j.get("o").ok_or_else(|| err("tree operator"))?)?;
-    let children = arr_field(j, "c")?
-        .iter()
-        .map(tree_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(LogicalTree { op, children })
-}
-
-fn data_type_name(t: DataType) -> &'static str {
-    match t {
-        DataType::Bool => "bool",
-        DataType::Int => "int",
-        DataType::Str => "str",
-    }
-}
-
-fn data_type_from(name: &str) -> Result<DataType, String> {
-    Ok(match name {
-        "bool" => DataType::Bool,
-        "int" => DataType::Int,
-        "str" => DataType::Str,
-        _ => return Err(err("data type")),
-    })
-}
-
-fn schema_to_json(schema: &Schema) -> Json {
-    Json::Arr(
-        schema
-            .iter()
-            .map(|c| {
-                Json::obj(vec![
-                    ("id", Json::count(u64::from(c.id.0))),
-                    ("type", Json::str(data_type_name(c.data_type))),
-                    ("nullable", Json::Bool(c.nullable)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn schema_from(j: &Json, field: &str) -> Result<Schema, String> {
-    arr_field(j, field)?
-        .iter()
-        .map(|c| {
-            Ok(ColumnInfo {
-                id: ColId(
-                    u64_field(c, "id")
-                        .and_then(|v| u32::try_from(v).map_err(|_| err("schema column id")))?,
-                ),
-                data_type: data_type_from(str_field(c, "type")?)?,
-                nullable: c
-                    .get("nullable")
-                    .and_then(Json::as_bool)
-                    .ok_or_else(|| err("schema nullability"))?,
-            })
-        })
-        .collect()
-}
-
-fn phys_op_to_json(op: &PhysOp) -> Json {
-    match op {
-        PhysOp::SeqScan { table, cols } => Json::obj(vec![
-            ("op", Json::str("seq_scan")),
-            ("table", Json::count(u64::from(table.0))),
-            ("cols", col_list(cols)),
-        ]),
-        PhysOp::IndexSeek {
-            table,
-            cols,
-            key,
-            residual,
-        } => Json::obj(vec![
-            ("op", Json::str("index_seek")),
-            ("table", Json::count(u64::from(table.0))),
-            ("cols", col_list(cols)),
-            ("key", value_to_json(key)),
-            ("residual", expr_to_json(residual)),
-        ]),
-        PhysOp::Filter { predicate } => Json::obj(vec![
-            ("op", Json::str("filter")),
-            ("pred", expr_to_json(predicate)),
-        ]),
-        PhysOp::Compute { outputs } => Json::obj(vec![
-            ("op", Json::str("compute")),
-            (
-                "outputs",
-                Json::Arr(
-                    outputs
-                        .iter()
-                        .map(|(c, e)| {
-                            Json::obj(vec![
-                                ("col", Json::count(u64::from(c.0))),
-                                ("expr", expr_to_json(e)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
-        PhysOp::NLJoin { kind, predicate } => Json::obj(vec![
-            ("op", Json::str("nl_join")),
-            ("kind", Json::str(join_kind_name(*kind))),
-            ("pred", expr_to_json(predicate)),
-        ]),
-        PhysOp::HashJoin {
-            kind,
-            left_keys,
-            right_keys,
-            residual,
-        } => Json::obj(vec![
-            ("op", Json::str("hash_join")),
-            ("kind", Json::str(join_kind_name(*kind))),
-            ("left_keys", col_list(left_keys)),
-            ("right_keys", col_list(right_keys)),
-            ("residual", expr_to_json(residual)),
-        ]),
-        PhysOp::MergeJoin {
-            left_key,
-            right_key,
-            residual,
-        } => Json::obj(vec![
-            ("op", Json::str("merge_join")),
-            ("left_key", Json::count(u64::from(left_key.0))),
-            ("right_key", Json::count(u64::from(right_key.0))),
-            ("residual", expr_to_json(residual)),
-        ]),
-        PhysOp::HashAgg { group_by, aggs } => Json::obj(vec![
-            ("op", Json::str("hash_agg")),
-            ("group_by", col_list(group_by)),
-            ("aggs", aggs_to_json(aggs)),
-        ]),
-        PhysOp::StreamAgg { group_by, aggs } => Json::obj(vec![
-            ("op", Json::str("stream_agg")),
-            ("group_by", col_list(group_by)),
-            ("aggs", aggs_to_json(aggs)),
-        ]),
-        PhysOp::Concat {
-            outputs,
-            left_cols,
-            right_cols,
-        } => Json::obj(vec![
-            ("op", Json::str("concat")),
-            ("outputs", col_list(outputs)),
-            ("left_cols", col_list(left_cols)),
-            ("right_cols", col_list(right_cols)),
-        ]),
-        PhysOp::HashDistinct => Json::obj(vec![("op", Json::str("hash_distinct"))]),
-        PhysOp::SortOp { keys } => Json::obj(vec![
-            ("op", Json::str("sort")),
-            ("keys", sort_keys_to_json(keys)),
-        ]),
-        PhysOp::TopN { n, keys } => Json::obj(vec![
-            ("op", Json::str("top_n")),
-            ("n", Json::count(*n)),
-            ("keys", sort_keys_to_json(keys)),
-        ]),
-    }
-}
-
-fn phys_op_from_json(j: &Json) -> Result<PhysOp, String> {
-    let table = || -> Result<TableId, String> {
-        u64_field(j, "table")
-            .and_then(|v| u32::try_from(v).map_err(|_| err("table id")))
-            .map(TableId)
-    };
-    let col_of = |field: &str| -> Result<ColId, String> {
-        u64_field(j, field)
-            .and_then(|v| u32::try_from(v).map_err(|_| err("column id")))
-            .map(ColId)
-    };
-    let expr_of = |field: &str| -> Result<Expr, String> {
-        expr_from_json(j.get(field).ok_or_else(|| err(field))?)
-    };
-    Ok(match str_field(j, "op")? {
-        "seq_scan" => PhysOp::SeqScan {
-            table: table()?,
-            cols: cols_from(j, "cols")?,
-        },
-        "index_seek" => PhysOp::IndexSeek {
-            table: table()?,
-            cols: cols_from(j, "cols")?,
-            key: value_from_json(j.get("key").ok_or_else(|| err("seek key"))?)?,
-            residual: expr_of("residual")?,
-        },
-        "filter" => PhysOp::Filter {
-            predicate: expr_of("pred")?,
-        },
-        "compute" => PhysOp::Compute {
-            outputs: arr_field(j, "outputs")?
-                .iter()
-                .map(|o| {
-                    let col = u64_field(o, "col")
-                        .and_then(|v| u32::try_from(v).map_err(|_| err("compute column")))?;
-                    let expr = expr_from_json(o.get("expr").ok_or_else(|| err("compute expr"))?)?;
-                    Ok((ColId(col), expr))
+macro_rules! name_codec {
+    ($ty:ident { $($v:ident: $name:literal),* $(,)? }) => {
+        impl Codec for $ty {
+            fn enc(&self) -> Json {
+                Json::str(match self {
+                    $($ty::$v => $name,)*
                 })
-                .collect::<Result<Vec<_>, String>>()?,
-        },
-        "nl_join" => PhysOp::NLJoin {
-            kind: join_kind_from(str_field(j, "kind")?)?,
-            predicate: expr_of("pred")?,
-        },
-        "hash_join" => PhysOp::HashJoin {
-            kind: join_kind_from(str_field(j, "kind")?)?,
-            left_keys: cols_from(j, "left_keys")?,
-            right_keys: cols_from(j, "right_keys")?,
-            residual: expr_of("residual")?,
-        },
-        "merge_join" => PhysOp::MergeJoin {
-            left_key: col_of("left_key")?,
-            right_key: col_of("right_key")?,
-            residual: expr_of("residual")?,
-        },
-        "hash_agg" => PhysOp::HashAgg {
-            group_by: cols_from(j, "group_by")?,
-            aggs: aggs_from(j, "aggs")?,
-        },
-        "stream_agg" => PhysOp::StreamAgg {
-            group_by: cols_from(j, "group_by")?,
-            aggs: aggs_from(j, "aggs")?,
-        },
-        "concat" => PhysOp::Concat {
-            outputs: cols_from(j, "outputs")?,
-            left_cols: cols_from(j, "left_cols")?,
-            right_cols: cols_from(j, "right_cols")?,
-        },
-        "hash_distinct" => PhysOp::HashDistinct,
-        "sort" => PhysOp::SortOp {
-            keys: sort_keys_from(j, "keys")?,
-        },
-        "top_n" => PhysOp::TopN {
-            n: u64_field(j, "n")?,
-            keys: sort_keys_from(j, "keys")?,
-        },
-        _ => return Err(err("physical operator tag")),
-    })
+            }
+            fn dec(j: &Json) -> Result<Self, String> {
+                match j.as_str() {
+                    $(Some($name) => Ok($ty::$v),)*
+                    _ => Err(concat!("unknown ", stringify!($ty)).to_string()),
+                }
+            }
+        }
+    };
 }
 
-pub fn plan_to_json(plan: &PhysicalPlan) -> Json {
-    Json::obj(vec![
-        ("o", phys_op_to_json(&plan.op)),
-        (
-            "c",
-            Json::Arr(plan.children.iter().map(plan_to_json).collect()),
-        ),
-        ("schema", schema_to_json(&plan.schema)),
-        ("est_rows", Json::f64_bits(plan.est_rows)),
-        ("est_cost", Json::f64_bits(plan.est_cost)),
-    ])
-}
+name_codec!(BinOp {
+    Eq: "eq",
+    Ne: "ne",
+    Lt: "lt",
+    Le: "le",
+    Gt: "gt",
+    Ge: "ge",
+    Add: "add",
+    Sub: "sub",
+    Mul: "mul",
+    And: "and",
+    Or: "or",
+});
+name_codec!(AggFunc {
+    CountStar: "count_star",
+    Count: "count",
+    Sum: "sum",
+    Min: "min",
+    Max: "max",
+});
+name_codec!(JoinKind {
+    Inner: "inner",
+    LeftOuter: "left_outer",
+    RightOuter: "right_outer",
+    FullOuter: "full_outer",
+    LeftSemi: "left_semi",
+    LeftAnti: "left_anti",
+});
+name_codec!(DataType {
+    Bool: "bool",
+    Int: "int",
+    Str: "str",
+});
 
-pub fn plan_from_json(j: &Json) -> Result<PhysicalPlan, String> {
-    Ok(PhysicalPlan {
-        op: phys_op_from_json(j.get("o").ok_or_else(|| err("plan operator"))?)?,
-        children: arr_field(j, "c")?
-            .iter()
-            .map(plan_from_json)
-            .collect::<Result<Vec<_>, _>>()?,
-        schema: schema_from(j, "schema")?,
-        est_rows: f64_field(j, "est_rows")?,
-        est_cost: f64_field(j, "est_cost")?,
-    })
-}
-
-fn rule_ids_to_json(ids: impl Iterator<Item = RuleId>) -> Json {
-    Json::Arr(ids.map(|r| Json::count(u64::from(r.0))).collect())
-}
-
-fn rule_id_from(j: &Json) -> Result<RuleId, String> {
-    j.as_u64()
-        .and_then(|v| u16::try_from(v).ok())
-        .map(RuleId)
-        .ok_or_else(|| err("rule id"))
-}
-
-pub fn result_to_json(result: &OptimizeResult) -> Json {
-    Json::obj(vec![
-        ("plan", plan_to_json(&result.plan)),
-        ("cost", Json::f64_bits(result.cost)),
-        (
-            "rule_set",
-            rule_ids_to_json(result.rule_set.iter().copied()),
-        ),
-        (
-            "rule_deps",
-            Json::Arr(
-                result
-                    .rule_dependencies
-                    .iter()
-                    .map(|&(a, b)| {
-                        Json::Arr(vec![
-                            Json::count(u64::from(a.0)),
-                            Json::count(u64::from(b.0)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("groups", Json::count(result.groups as u64)),
-        ("exprs", Json::count(result.exprs as u64)),
-        ("truncated", Json::Bool(result.truncated)),
-    ])
-}
-
-pub fn result_from_json(j: &Json) -> Result<OptimizeResult, String> {
-    let rule_set = arr_field(j, "rule_set")?
-        .iter()
-        .map(rule_id_from)
-        .collect::<Result<_, _>>()?;
-    let rule_dependencies = arr_field(j, "rule_deps")?
-        .iter()
-        .map(|pair| {
-            let pair = pair
-                .as_arr()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| err("rule dependency"))?;
-            Ok((rule_id_from(&pair[0])?, rule_id_from(&pair[1])?))
-        })
-        .collect::<Result<_, String>>()?;
-    Ok(OptimizeResult {
-        plan: plan_from_json(j.get("plan").ok_or_else(|| err("result plan"))?)?,
-        cost: f64_field(j, "cost")?,
-        rule_set,
-        rule_dependencies,
-        groups: u64_field(j, "groups")? as usize,
-        exprs: u64_field(j, "exprs")? as usize,
-        truncated: j
-            .get("truncated")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| err("truncated flag"))?,
-    })
-}
-
-pub fn key_to_json(key: &CacheKey) -> Json {
-    let mut fields = vec![
-        ("tree", tree_to_json(key.tree())),
-        ("disabled", rule_ids_to_json(key.disabled().iter().copied())),
-        ("max_exprs", Json::count(key.max_exprs() as u64)),
-        ("max_passes", Json::count(key.max_passes() as u64)),
-    ];
-    // Omitted when unset so default-config keys keep the exact canonical
-    // bytes older snapshots were addressed by.
-    if let Some(hard) = key.hard_max_exprs() {
-        fields.push(("hard_max_exprs", Json::count(hard as u64)));
+/// `null`, a bool, `{"int": "<decimal>"}` (an i64 exceeds 2^53) or
+/// `{"str": s}`.
+impl Codec for Value {
+    fn enc(&self) -> Json {
+        match self {
+            Value::Null => Json::Null,
+            Value::Bool(b) => Json::Bool(*b),
+            Value::Int(i) => Json::obj(vec![("int", Json::str(i.to_string()))]),
+            Value::Str(s) => Json::obj(vec![("str", s.enc())]),
+        }
     }
-    Json::obj(fields)
+    fn dec(j: &Json) -> Result<Self, String> {
+        match j {
+            Json::Null => Ok(Value::Null),
+            Json::Bool(b) => Ok(Value::Bool(*b)),
+            _ => match (j.get("int"), j.get("str")) {
+                (Some(i), _) => i
+                    .as_str()
+                    .and_then(|s| s.parse().ok())
+                    .map(Value::Int)
+                    .ok_or_else(|| "int: expected a decimal i64".to_string()),
+                (None, Some(s)) => String::dec(s).map(Value::Str),
+                (None, None) => Err("expected a value".to_string()),
+            },
+        }
+    }
 }
+
+/// Keyed by the variant: `{"col": id}`, `{"lit": v}`,
+/// `{"bin": op, "l": e, "r": e}`, `{"not": e}` or `{"is_null": e}`.
+impl Codec for Expr {
+    fn enc(&self) -> Json {
+        match self {
+            Expr::Col(c) => Json::obj(vec![("col", c.enc())]),
+            Expr::Lit(v) => Json::obj(vec![("lit", v.enc())]),
+            Expr::Bin { op, left, right } => Json::obj(vec![
+                ("bin", op.enc()),
+                ("l", left.enc()),
+                ("r", right.enc()),
+            ]),
+            Expr::Not(x) => Json::obj(vec![("not", x.enc())]),
+            Expr::IsNull(x) => Json::obj(vec![("is_null", x.enc())]),
+        }
+    }
+    fn dec(j: &Json) -> Result<Self, String> {
+        if let Some(c) = j.get("col") {
+            ColId::dec(c).map(Expr::Col)
+        } else if let Some(v) = j.get("lit") {
+            Value::dec(v).map(Expr::Lit)
+        } else if let Some(op) = j.get("bin") {
+            Ok(Expr::bin(BinOp::dec(op)?, field(j, "l")?, field(j, "r")?))
+        } else if let Some(x) = j.get("not") {
+            Expr::dec(x).map(Expr::not)
+        } else if let Some(x) = j.get("is_null") {
+            Expr::dec(x).map(Expr::is_null)
+        } else {
+            Err("expected an expression".to_string())
+        }
+    }
+}
+
+/// A projection output: `{"col": id, "expr": e}`.
+impl Codec for (ColId, Expr) {
+    fn enc(&self) -> Json {
+        Json::obj(vec![("col", self.0.enc()), ("expr", self.1.enc())])
+    }
+    fn dec(j: &Json) -> Result<Self, String> {
+        Ok((field(j, "col")?, field(j, "expr")?))
+    }
+}
+
+/// A rule pair (dependency or target): `[a, b]`.
+impl Codec for (RuleId, RuleId) {
+    fn enc(&self) -> Json {
+        Json::Arr(vec![self.0.enc(), self.1.enc()])
+    }
+    fn dec(j: &Json) -> Result<Self, String> {
+        match j.as_arr() {
+            Some([a, b]) => Ok((RuleId::dec(a)?, RuleId::dec(b)?)),
+            _ => Err("expected a rule pair".to_string()),
+        }
+    }
+}
+
+codec!(struct SortKey { col: "col", descending: "desc" });
+codec!(struct AggCall { func: "func", arg: "arg", output: "out" });
+codec!(struct ColumnInfo { id: "id", data_type: "type", nullable: "nullable" });
+
+// A logical tree serializes exactly, column ids and all. SQL text is
+// deliberately *not* the wire form: re-parsing renumbers column ids, and
+// a key that round-trips inexactly would never match again.
+codec!(struct LogicalTree { op: "o", children: "c" });
+codec!(enum Operator as "op" {
+    Get "get" { table: "table", cols: "cols" },
+    Select "select" { predicate: "pred" },
+    Project "project" { outputs: "outputs" },
+    Join "join" { kind: "kind", predicate: "pred" },
+    GbAgg "gbagg" { group_by: "group_by", aggs: "aggs" },
+    UnionAll "union_all" { outputs: "outputs", left_cols: "left_cols", right_cols: "right_cols" },
+    Distinct "distinct" {},
+    Sort "sort" { keys: "keys" },
+    Top "top" { n: "n", keys: "keys" },
+});
+
+codec!(struct PhysicalPlan {
+    op: "o",
+    children: "c",
+    schema: "schema",
+    est_rows: "est_rows",
+    est_cost: "est_cost",
+});
+codec!(enum PhysOp as "op" {
+    SeqScan "seq_scan" { table: "table", cols: "cols" },
+    IndexSeek "index_seek" { table: "table", cols: "cols", key: "key", residual: "residual" },
+    Filter "filter" { predicate: "pred" },
+    Compute "compute" { outputs: "outputs" },
+    NLJoin "nl_join" { kind: "kind", predicate: "pred" },
+    HashJoin "hash_join" {
+        kind: "kind",
+        left_keys: "left_keys",
+        right_keys: "right_keys",
+        residual: "residual",
+    },
+    MergeJoin "merge_join" { left_key: "left_key", right_key: "right_key", residual: "residual" },
+    HashAgg "hash_agg" { group_by: "group_by", aggs: "aggs" },
+    StreamAgg "stream_agg" { group_by: "group_by", aggs: "aggs" },
+    Concat "concat" { outputs: "outputs", left_cols: "left_cols", right_cols: "right_cols" },
+    HashDistinct "hash_distinct" {},
+    SortOp "sort" { keys: "keys" },
+    TopN "top_n" { n: "n", keys: "keys" },
+});
+
+codec!(struct OptimizeResult {
+    plan: "plan",
+    cost: "cost",
+    rule_set: "rule_set",
+    rule_dependencies: "rule_deps",
+    groups: "groups",
+    exprs: "exprs",
+    truncated: "truncated",
+});
 
 /// Canonical byte form of a cache key: compact JSON with sorted object
-/// keys. Content-addresses the snapshot entries (no lossy hashing).
+/// keys. Content-addresses the snapshot entries (no lossy hashing), so a
+/// key is only ever encoded. `hard_max_exprs` is omitted when unset so
+/// default-config keys keep the exact canonical bytes older snapshots
+/// were addressed by.
 pub fn canonical_key(key: &CacheKey) -> String {
-    key_to_json(key).to_string_compact()
+    let mut members = vec![
+        ("tree", key.tree().enc()),
+        (
+            "disabled",
+            Json::Arr(key.disabled().iter().map(RuleId::enc).collect()),
+        ),
+        ("max_exprs", key.max_exprs().enc()),
+        ("max_passes", key.max_passes().enc()),
+    ];
+    members.extend(key.hard_max_exprs().map(|h| ("hard_max_exprs", h.enc())));
+    Json::obj(members).to_string_compact()
 }
 
 // ---------------------------------------------------------------------
@@ -1095,14 +764,14 @@ fn entry_line(key_str: &str, e: &StoredEntry) -> String {
     };
     format!(
         "{{\"key\":{key_str},\"result\":{},\"sample\":{sample}{boundary}}}",
-        result_to_json(&e.result).to_string_compact()
+        e.result.enc().to_string_compact()
     )
 }
 
 fn parse_entry_line(line: &str) -> Option<(String, StoredEntry)> {
     let doc = Json::parse(line).ok()?;
     let key_str = doc.get("key")?.to_string_compact();
-    let result = result_from_json(doc.get("result")?).ok()?;
+    let result = OptimizeResult::dec(doc.get("result")?).ok()?;
     let sample = match doc.get("sample") {
         None | Some(Json::Null) => None,
         Some(s) => Some(ProfileSample::from_json(s).ok()?),
@@ -1166,7 +835,7 @@ mod tests {
     #[test]
     fn tree_round_trips_exactly() {
         let tree = sample_tree();
-        let back = tree_from_json(&tree_to_json(&tree)).unwrap();
+        let back = LogicalTree::dec(&tree.enc()).unwrap();
         assert_eq!(back, tree);
         // Union + distinct + sort + project cover the remaining operators.
         let union = LogicalTree::union_all(
@@ -1180,7 +849,7 @@ mod tests {
             LogicalTree::sort(LogicalTree::distinct(union), vec![SortKey::asc(ColId(30))]),
             vec![(ColId(40), Expr::col(ColId(30)))],
         );
-        let back = tree_from_json(&tree_to_json(&proj)).unwrap();
+        let back = LogicalTree::dec(&proj.enc()).unwrap();
         assert_eq!(back, proj);
     }
 
@@ -1243,13 +912,181 @@ mod tests {
     #[test]
     fn result_round_trips() {
         let r = dummy_result(0.1 + 0.2);
-        let back = result_from_json(&result_to_json(&r)).unwrap();
+        let back = OptimizeResult::dec(&r.enc()).unwrap();
         assert_eq!(back.cost.to_bits(), r.cost.to_bits());
         assert_eq!(back.rule_set, r.rule_set);
         assert_eq!(back.rule_dependencies, r.rule_dependencies);
         assert_eq!((back.groups, back.exprs, back.truncated), (3, 9, false));
         assert_eq!(back.plan.schema, r.plan.schema);
         assert!(back.plan.same_shape(&r.plan));
+    }
+
+    #[test]
+    fn u64_above_2_pow_53_travels_as_a_decimal_string() {
+        let exact = 1u64 << 53;
+        assert_eq!(exact.enc().to_string_compact(), "9007199254740992");
+        assert_eq!(
+            (exact + 1).enc().to_string_compact(),
+            "\"9007199254740993\""
+        );
+        for v in [0, exact - 1, exact, exact + 1, u64::MAX] {
+            let text = v.enc().to_string_compact();
+            assert_eq!(u64::dec(&Json::parse(&text).unwrap()), Ok(v), "{text}");
+        }
+    }
+
+    #[test]
+    fn malformed_members_report_their_path() {
+        let tree = r#"{"c":[],"o":{"cols":[1099511627776],"op":"get","table":1}}"#;
+        let err = LogicalTree::dec(&Json::parse(tree).unwrap()).unwrap_err();
+        assert_eq!(err, "o: cols: expected a ColId");
+        let err = SortKey::dec(&Json::parse(r#"{"col":1}"#).unwrap()).unwrap_err();
+        assert_eq!(err, "desc: expected a bool");
+    }
+
+    /// A plan node whose schema and estimates vary with its shape.
+    fn node(op: PhysOp, children: Vec<PhysicalPlan>, est_rows: f64) -> PhysicalPlan {
+        let schema = vec![ColumnInfo {
+            id: ColId(children.len() as u32),
+            data_type: DataType::Bool,
+            nullable: children.is_empty(),
+        }];
+        let est_cost = est_rows * 1.5 + 0.1;
+        PhysicalPlan {
+            op,
+            children,
+            schema,
+            est_rows,
+            est_cost,
+        }
+    }
+
+    /// One snapshot entry whose key tree uses all 9 logical operators and
+    /// whose result plan uses all 13 physical operators.
+    fn golden_entry() -> (CacheKey, StoredEntry) {
+        let c = |i: u32| Expr::col(ColId(i));
+        let cols = |ids: &[u32]| ids.iter().map(|&i| ColId(i)).collect::<Vec<_>>();
+        let truth = |b: bool| Expr::lit(Value::Bool(b));
+        let pred = Expr::and(
+            Expr::bin(BinOp::Ne, c(1), Expr::lit(Value::Str("a\"b\n".into()))),
+            Expr::or(
+                Expr::not(Expr::is_null(c(2))),
+                Expr::bin(
+                    BinOp::Lt,
+                    Expr::bin(BinOp::Mul, c(3), Expr::lit(Value::Int(i64::MIN))),
+                    Expr::lit(Value::Null),
+                ),
+            ),
+        );
+        let aggs = vec![
+            AggCall::new(AggFunc::CountStar, None, ColId(20)),
+            AggCall::new(AggFunc::Sum, Some(ColId(3)), ColId(21)),
+        ];
+        let keys = vec![SortKey::desc(ColId(20)), SortKey::asc(ColId(0))];
+        let get = |t: u32| LogicalTree::get_with_cols(TableId(t), cols(&[t, t + 1]));
+
+        let join = LogicalTree::join(JoinKind::LeftAnti, get(0), get(10), Expr::eq(c(0), c(10)));
+        let agg = LogicalTree::gbagg(
+            LogicalTree::select(join, pred.clone()),
+            cols(&[0]),
+            aggs.clone(),
+        );
+        let project =
+            LogicalTree::project(get(4), vec![(ColId(30), Expr::bin(BinOp::Sub, c(4), c(5)))]);
+        let union = LogicalTree::union_all(agg, project, cols(&[40]), cols(&[0]), cols(&[30]));
+        let sort = LogicalTree::sort(LogicalTree::distinct(union), keys.clone());
+        let key = CacheKey::new(
+            &LogicalTree::top(sort, 7, keys.clone()),
+            &crate::optimizer::OptimizerConfig {
+                mask: crate::mask::RuleMask::disabling(&[RuleId(9), RuleId(2)]),
+                hard_max_exprs: Some(500),
+                ..Default::default()
+            },
+        );
+
+        let scan = |t: u32| {
+            let op = PhysOp::SeqScan {
+                table: TableId(t),
+                cols: cols(&[t]),
+            };
+            node(op, vec![], 0.1 + 0.2)
+        };
+        let seek = PhysOp::IndexSeek {
+            table: TableId(1),
+            cols: cols(&[1, 2]),
+            key: Value::Int(-9_007_199_254_740_993),
+            residual: truth(true),
+        };
+        let hash_join = PhysOp::HashJoin {
+            kind: JoinKind::FullOuter,
+            left_keys: cols(&[0]),
+            right_keys: cols(&[1]),
+            residual: truth(false),
+        };
+        let plan = node(hash_join, vec![scan(0), node(seek, vec![], 1.0)], 12.5);
+        let merge_join = PhysOp::MergeJoin {
+            left_key: ColId(0),
+            right_key: ColId(5),
+            residual: truth(true),
+        };
+        let plan = node(merge_join, vec![plan, scan(5)], 1e300);
+        let nl_join = PhysOp::NLJoin {
+            kind: JoinKind::LeftSemi,
+            predicate: pred.clone(),
+        };
+        let plan = node(nl_join, vec![plan, scan(6)], f64::MIN_POSITIVE);
+        let plan = node(PhysOp::Filter { predicate: pred }, vec![plan], -0.0);
+        let hash_agg = PhysOp::HashAgg {
+            group_by: cols(&[0]),
+            aggs: aggs.clone(),
+        };
+        let left = node(hash_agg, vec![plan], 3.0);
+        let outputs = vec![(ColId(31), Expr::bin(BinOp::Add, c(7), c(8)))];
+        let compute = node(PhysOp::Compute { outputs }, vec![scan(7)], 2.0);
+        let stream_agg = PhysOp::StreamAgg {
+            group_by: vec![],
+            aggs,
+        };
+        let right = node(stream_agg, vec![compute], 1.0);
+        let concat = PhysOp::Concat {
+            outputs: cols(&[40]),
+            left_cols: cols(&[0]),
+            right_cols: cols(&[21]),
+        };
+        let plan = node(concat, vec![left, right], 4.0);
+        let plan = node(PhysOp::HashDistinct, vec![plan], 4.0);
+        let plan = node(PhysOp::SortOp { keys: keys.clone() }, vec![plan], 4.0);
+        let plan = node(PhysOp::TopN { n: 7, keys }, vec![plan], 4.0);
+        let result = OptimizeResult {
+            cost: plan.est_cost,
+            plan,
+            rule_set: [RuleId(0), RuleId(3), RuleId(65535)].into(),
+            rule_dependencies: [(RuleId(0), RuleId(3)), (RuleId(3), RuleId(0))].into(),
+            groups: 17,
+            exprs: 42,
+            truncated: true,
+        };
+        let entry = StoredEntry {
+            result: Arc::new(result),
+            sample: None,
+            boundary: 2,
+        };
+        (key, entry)
+    }
+
+    /// [`golden_entry`] as the format-1 codec writes it. Any change to
+    /// these bytes invalidates every snapshot on disk.
+    const GOLDEN_ENTRY_LINE: &str = include_str!("testdata/golden_entry.jsonl");
+
+    #[test]
+    fn entry_line_wire_format_is_pinned() {
+        let (key, entry) = golden_entry();
+        let key_str = canonical_key(&key);
+        let line = entry_line(&key_str, &entry);
+        assert_eq!(line, GOLDEN_ENTRY_LINE.trim_end());
+        let (back_key, back) = parse_entry_line(&line).expect("golden line decodes");
+        assert_eq!(back_key, key_str);
+        assert_eq!(entry_line(&back_key, &back), line, "decode + re-encode");
     }
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -1397,30 +1234,23 @@ mod tests {
 
     #[test]
     fn snapshot_bytes_are_deterministic() {
-        let write = |dir: &Path| {
+        let write = |dir: &Path, reversed: bool| {
             let store = SnapshotStore::open(dir, 7, None).unwrap();
+            let mut keys: Vec<CacheKey> = (0..20)
+                .map(|i| CacheKey::new(&leaf(i), &OptimizerConfig::default()))
+                .collect();
             // Insertion order differs between the two runs.
-            let keys: Vec<CacheKey> = (0..20)
-                .map(|i| CacheKey::new(&leaf(i), &OptimizerConfig::default()))
-                .collect();
-            for k in keys.iter() {
-                store.record_fresh(k, &dummy_result(1.0), None);
+            if reversed {
+                keys.reverse();
             }
-            store.save().unwrap();
-        };
-        let write_rev = |dir: &Path| {
-            let store = SnapshotStore::open(dir, 7, None).unwrap();
-            let keys: Vec<CacheKey> = (0..20)
-                .map(|i| CacheKey::new(&leaf(i), &OptimizerConfig::default()))
-                .collect();
-            for k in keys.iter().rev() {
+            for k in &keys {
                 store.record_fresh(k, &dummy_result(1.0), None);
             }
             store.save().unwrap();
         };
         let (a, b) = (temp_dir("det-a"), temp_dir("det-b"));
-        write(&a);
-        write_rev(&b);
+        write(&a, false);
+        write(&b, true);
         for i in 0..DISK_SHARDS {
             let fa = fs::read_to_string(a.join("cache").join(format!("shard-{i}.jsonl"))).unwrap();
             let fb = fs::read_to_string(b.join("cache").join(format!("shard-{i}.jsonl"))).unwrap();

@@ -19,6 +19,7 @@ use ruletest_core::{
 };
 use ruletest_core::{CorrectnessReport, TriageConfig};
 use ruletest_executor::ExecConfig;
+use ruletest_optimizer::persist::Codec;
 use ruletest_telemetry::{Counter, RunReport, Telemetry};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -167,7 +168,7 @@ fn fixed_plan_replays_to_identical_quarantine() {
         chaos::clear();
         (
             report.deterministic_json(),
-            quarantine.to_json().to_string_compact(),
+            quarantine.enc().to_string_compact(),
             stats,
         )
     };

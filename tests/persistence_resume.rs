@@ -129,6 +129,33 @@ fn resume_after_kill_matches_uninterrupted_run() {
 /// empty base would make the merged report claim zero invocations for
 /// stages that ran, tripping `RunReport::check`. A telemetry-mode switch
 /// recomputes the stages instead.
+/// Seeds above 2^53 stay exact in the checkpoint identity and payload: a
+/// JSON number would round 2^53 + 1 down to 2^53, and the second campaign
+/// would resume the first one's checkpoints.
+#[test]
+fn seeds_beyond_2_pow_53_do_not_share_checkpoints() {
+    let dir = temp_dir("bigseed");
+    let campaign = |seed: u64, resume: bool| {
+        let params = CampaignParams { seed, ..params() };
+        run_checkpointed_campaign(&fw(), &params, Some(&dir), resume, None)
+            .unwrap()
+            .expect("no stop hook: campaign runs to completion")
+    };
+    let low = 1u64 << 53;
+    assert!(campaign(low, false).resumed.is_empty());
+    let high = campaign(low + 1, true);
+    assert!(
+        high.resumed.is_empty(),
+        "seed 2^53+1 resumed the checkpoints of seed 2^53: {:?}",
+        high.resumed
+    );
+    assert_eq!(high.suite.seed, low + 1);
+    let again = campaign(low + 1, true);
+    assert_eq!(again.resumed, vec!["suite", "graph"]);
+    assert_eq!(again.suite.seed, low + 1, "the checkpointed seed is exact");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn telemetry_mode_switch_invalidates_checkpoints() {
     let dir = temp_dir("mode-switch");
